@@ -168,7 +168,7 @@ PhaseResult run_phase(const char* label, bool steered,
   std::size_t d_max = 0;
   std::thread sampler([&] {
     while (!stop_sampler.load(std::memory_order_relaxed)) {
-      const std::size_t d = engine.queue().depth();
+      const std::size_t d = engine.pool().queue_depth();
       d_sum += static_cast<double>(d);
       d_sq += static_cast<double>(d) * static_cast<double>(d);
       ++d_n;

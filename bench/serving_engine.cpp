@@ -1,16 +1,16 @@
 // Serving-engine bench: checkout and checkin throughput vs connection
-// count, thread-per-connection runtime vs epoll engine, per-record vs
-// group-commit fsync — the numbers behind docs/SCALING.md.
+// count, per-record vs group-commit fsync — the numbers behind
+// docs/SCALING.md.
 //
-// Three server modes, all with a durable store attached under
+// Two server modes, both with a durable store attached under
 // --fsync always semantics (every acked checkin is on the platter):
 //
-//   threads      core::TcpCrowdServer, one fsync per checkin;
-//   epoll        engine::EpollCrowdServer, still one fsync per checkin
-//                (group commit off isolates the event-loop effect);
+//   epoll        engine::EpollCrowdServer, one fsync per checkin
+//                (group commit off);
 //   epoll+group  the full engine: batched applier, one fsync per batch.
 //
-// Plus the draw-and-discard pool (src/multimodel/) at k in {1, 2, 4, 8}
+// Plus the draw-and-discard pool (engine::ModelInstancePool) at k in
+// {1, 2, 4, 8}
 // instances on 256 connections: k parallel appliers, each group-
 // committing its own WAL stream — the applier-scaling numbers behind
 // docs/SCALING.md "Draw-and-discard multi-model serving".
@@ -34,9 +34,8 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/tcp_runtime.hpp"
 #include "engine/epoll_server.hpp"
-#include "multimodel/instance_pool.hpp"
+#include "engine/instance_pool.hpp"
 #include "store/durable_store.hpp"
 #include "tools/flags.hpp"
 
@@ -150,11 +149,10 @@ struct Result {
   std::uint64_t version = 0;
 };
 
-enum class Mode { kThreads, kEpoll, kEpollGroup };
+enum class Mode { kEpoll, kEpollGroup };
 
 const char* mode_name(Mode m) {
   switch (m) {
-    case Mode::kThreads: return "threads";
     case Mode::kEpoll: return "epoll";
     case Mode::kEpollGroup: return "epoll+group";
   }
@@ -178,29 +176,17 @@ Result run_mode(Mode mode, std::size_t conns, long long total) {
     store.attach(server);
 
     obs::MetricsRegistry metrics;  // isolate per-run engine instruments
-    std::unique_ptr<core::TcpCrowdServer> threads_srv;
-    std::unique_ptr<engine::EpollCrowdServer> epoll_srv;
-    std::uint16_t port = 0;
-    if (mode == Mode::kThreads) {
-      core::TcpServerConfig tcfg;
-      tcfg.max_connections = conns + 8;
-      threads_srv =
-          std::make_unique<core::TcpCrowdServer>(server, registry, tcfg);
-      port = threads_srv->port();
-    } else {
-      engine::EngineConfig ecfg;
-      ecfg.max_connections = conns + 8;
-      ecfg.checkin_queue_max = 4096;  // measure throughput, not shedding
-      ecfg.metrics = &metrics;
-      if (mode == Mode::kEpollGroup) {
-        store.set_group_commit(true);
-        store::DurableStore* s = &store;
-        ecfg.group_commit = [s] { return s->commit_group(); };
-      }
-      epoll_srv =
-          std::make_unique<engine::EpollCrowdServer>(server, registry, ecfg);
-      port = epoll_srv->port();
+    engine::EngineConfig ecfg;
+    ecfg.max_connections = conns + 8;
+    ecfg.checkin_queue_max = 4096;  // measure throughput, not shedding
+    ecfg.metrics = &metrics;
+    if (mode == Mode::kEpollGroup) {
+      store.set_group_commit(true);
+      store::DurableStore* s = &store;
+      ecfg.group_commit = [s] { return s->commit_group(); };
     }
+    engine::EpollCrowdServer epoll_srv(server, registry, ecfg);
+    const std::uint16_t port = epoll_srv.port();
 
     std::vector<net::TcpConnection> sockets;
     std::vector<ClientFrames> frames;
@@ -218,15 +204,14 @@ Result run_mode(Mode mode, std::size_t conns, long long total) {
     r.version = server.version();
 
     sockets.clear();
-    if (threads_srv) threads_srv->shutdown();
-    if (epoll_srv) epoll_srv->shutdown();
+    epoll_srv.shutdown();
   }
   std::filesystem::remove_all(dir);
   return r;
 }
 
 /// Draw-and-discard pool: k appliers, k WAL streams (fsync=always, group
-/// commit per instance), served through the engine's multimodel hooks.
+/// commit per instance), served by the engine over a caller-built pool.
 ///
 /// Pool rows run at commit-per-update cadence (checkin_batch_max = 1):
 /// every acked update is its own group-commit tick, so the row measures
@@ -247,7 +232,7 @@ Result run_pool(std::size_t k, std::size_t conns, long long total) {
     net::AuthRegistry registry(rng::Engine(2));
     obs::MetricsRegistry metrics;
 
-    multimodel::PoolOptions popts;
+    engine::PoolOptions popts;
     popts.instances = k;
     popts.seed = 1;
     popts.checkin_queue_max = 4096;
@@ -265,15 +250,12 @@ Result run_pool(std::size_t k, std::size_t conns, long long total) {
               std::make_unique<opt::SqrtDecaySchedule>(50.0), 500.0),
           rng::Engine(1).split(i));
     };
-    multimodel::ModelInstancePool pool(registry, factory, popts);
-    pool.start();
+    engine::ModelInstancePool pool(registry, factory, popts);
 
     engine::EngineConfig ecfg;
     ecfg.max_connections = conns + 8;
-    ecfg.checkin_queue_max = 4096;
     ecfg.metrics = &metrics;
-    multimodel::wire_engine(pool, ecfg);
-    engine::EpollCrowdServer epoll_srv(pool.server(0), registry, ecfg);
+    engine::EpollCrowdServer epoll_srv(pool, registry, ecfg);
 
     std::vector<net::TcpConnection> sockets;
     std::vector<ClientFrames> frames;
@@ -293,7 +275,7 @@ Result run_pool(std::size_t k, std::size_t conns, long long total) {
     r.version = pool.total_version();
 
     sockets.clear();
-    epoll_srv.shutdown();  // shutdown_drain drains the pool
+    epoll_srv.shutdown();  // drains the pool
   }
   std::filesystem::remove_all(dir);
   return r;
@@ -314,18 +296,17 @@ int main(int argc, char** argv) {
   const bench::Options o = bench::options();
   const long long total = std::max(512, static_cast<int>(8000 * o.scale));
   bench::header("serving_engine",
-                "threads vs epoll engine: throughput vs connections, "
+                "epoll engine: throughput vs connections, "
                 "per-record vs group-commit fsync", o);
   std::printf("%lld exchanges per phase, %zu-double gradients, "
               "fsync=always throughout\n\n",
               total, kClasses * kDim);
 
   const std::size_t conn_counts[] = {16, 64, 256};
-  const Mode modes[] = {Mode::kThreads, Mode::kEpoll, Mode::kEpollGroup};
+  const Mode modes[] = {Mode::kEpoll, Mode::kEpollGroup};
 
   std::printf("%-12s %6s %14s %14s %10s %14s\n", "engine", "conns",
               "checkouts/s", "checkins/s", "fsyncs", "fsyncs/checkin");
-  double threads_256 = 0.0, epoll_group_256 = 0.0;
   long long group_fsyncs_256 = 0;
   struct Row {
     Mode mode;
@@ -341,11 +322,7 @@ int main(int argc, char** argv) {
                   conns, r.checkouts_per_s, r.checkins_per_s, r.fsyncs,
                   static_cast<double>(r.fsyncs) /
                       static_cast<double>(std::max<std::uint64_t>(r.version, 1)));
-      if (conns == 256 && mode == Mode::kThreads) threads_256 = r.checkins_per_s;
-      if (conns == 256 && mode == Mode::kEpollGroup) {
-        epoll_group_256 = r.checkins_per_s;
-        group_fsyncs_256 = r.fsyncs;
-      }
+      if (conns == 256 && mode == Mode::kEpollGroup) group_fsyncs_256 = r.fsyncs;
     }
     std::printf("\n");
   }
@@ -383,7 +360,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  const bool speedup_ok = epoll_group_256 >= 4.0 * threads_256;
   const bool fsync_ok = group_fsyncs_256 < total;
   // The single-applier commit clock is the ceiling being measured: k = 1
   // serializes one fsync per acked update, k = 8 overlaps eight commit
@@ -399,8 +375,6 @@ int main(int argc, char** argv) {
       pool_k1_256 > 0.0 ? pool_k8_256 / pool_k1_256 : 0.0;
   const bool pool_ok = pool_ratio >= 1.5;
   const bool pool_3x = pool_ratio >= 3.0;
-  bench::check(speedup_ok,
-               "epoll+group >= 4x threads checkin throughput at 256 conns");
   bench::check(fsync_ok, "group commit fsyncs fewer times than it acks");
   bench::check(pool_ok,
                "multimodel k=8 >= 1.5x k=1 checkin throughput at 256 conns");
@@ -448,12 +422,10 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  ],\n  \"multimodel_k8_over_k1\": %.2f,\n"
                  "  \"checks\": {\n"
-                 "    \"epoll_group_4x_threads_at_256\": %s,\n"
                  "    \"group_commit_batches_fsyncs\": %s,\n"
                  "    \"multimodel_k8_1_5x_k1_at_256\": %s,\n"
                  "    \"multimodel_k8_3x_k1_at_256\": %s\n  }\n}\n",
-                 pool_ratio, speedup_ok ? "true" : "false",
-                 fsync_ok ? "true" : "false", pool_ok ? "true" : "false",
+                 pool_ratio, fsync_ok ? "true" : "false", pool_ok ? "true" : "false",
                  pool_3x ? "true" : "false");
     std::fclose(f);
     std::printf("(json written: %s)\n", json_out.c_str());

@@ -1,9 +1,9 @@
 // Bounded MPSC checkin queue with load shedding.
 //
-// I/O threads (producers) enqueue every non-checkout frame; the single
-// applier thread (consumer) drains them in arrival order and applies the
-// SGD updates, which keeps the server's update sequence identical to the
-// thread-per-connection runtime's serialized order. The bound is the
+// I/O threads (producers) enqueue every non-checkout frame; one pool
+// instance's applier thread (consumer) drains them in arrival order and
+// applies the SGD updates — the paper's serial update sequence. The
+// bound is the
 // admission-control valve: when the applier falls behind, try_push fails
 // and the I/O thread sheds the request with a retry_after nack instead
 // of letting the backlog (and every device's latency) grow without
@@ -37,6 +37,10 @@ struct CheckinWork {
   std::uint64_t conn_id = 0;   ///< connection to answer on `loop`
   EventLoop* loop = nullptr;   ///< owning event loop for the response
   std::function<void(net::Bytes&&)> complete;
+  /// A draw-and-discard overwrite record queued by a pool applier, never
+  /// a client frame (whose bytes, however crafted, always go through the
+  /// protocol dispatcher). Carries no response.
+  bool overwrite = false;
 };
 
 class CheckinQueue {

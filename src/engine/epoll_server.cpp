@@ -1,11 +1,7 @@
 #include "engine/epoll_server.hpp"
 
-#include <chrono>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
-
-#include "obs/profile.hpp"
 
 namespace crowdml::engine {
 
@@ -15,16 +11,32 @@ obs::MetricsRegistry& registry_of(const EngineConfig& config) {
   return config.metrics ? *config.metrics : obs::default_registry();
 }
 
-net::Bytes make_auth_refused_frame() {
-  net::ParamsMessage refuse;
-  refuse.accepted = false;
-  return net::encode_frame(net::MessageType::kParams, refuse.serialize());
-}
-
 net::Bytes make_redirect_frame(const std::string& leader_addr) {
   if (leader_addr.empty()) return {};
   const net::AckMessage nack{false, net::not_leader_reason(leader_addr)};
   return net::encode_frame(net::MessageType::kAck, nack.serialize());
+}
+
+/// The engine's default applier: one instance over the caller's server,
+/// committing through config.group_commit and steering with
+/// config.coordinator.
+std::unique_ptr<ModelInstancePool> single_instance_pool(
+    core::Server& server, net::AuthRegistry& auth, const EngineConfig& config) {
+  PoolOptions popts;
+  popts.checkin_queue_max = config.checkin_queue_max;
+  popts.checkin_batch_max = config.checkin_batch_max;
+  if (config.group_commit)
+    popts.on_commit = [commit = config.group_commit](std::size_t) {
+      return commit();
+    };
+  if (config.coordinator)
+    popts.coordinator_factory = [c = config.coordinator](std::size_t) {
+      // Caller-owned clock: share it without taking ownership.
+      return std::shared_ptr<coord::Coordinator>(std::shared_ptr<void>(), c);
+    };
+  popts.metrics = config.metrics;
+  popts.trace = config.trace;
+  return std::make_unique<ModelInstancePool>(auth, server, std::move(popts));
 }
 
 }  // namespace
@@ -32,21 +44,26 @@ net::Bytes make_redirect_frame(const std::string& leader_addr) {
 EpollCrowdServer::EpollCrowdServer(core::Server& server,
                                    net::AuthRegistry& auth,
                                    EngineConfig config)
-    : config_(std::move(config)),
-      server_(server),
+    : EpollCrowdServer(single_instance_pool(server, auth, config), nullptr,
+                       auth, config) {}
+
+EpollCrowdServer::EpollCrowdServer(ModelInstancePool& pool,
+                                   net::AuthRegistry& auth,
+                                   EngineConfig config)
+    : EpollCrowdServer(nullptr, &pool, auth, config) {}
+
+EpollCrowdServer::EpollCrowdServer(std::unique_ptr<ModelInstancePool> owned,
+                                   ModelInstancePool* external,
+                                   net::AuthRegistry& auth,
+                                   const EngineConfig& config)
+    : config_(config),
       auth_(auth),
-      protocol_(server, auth, config_.trace),
+      owned_pool_(std::move(owned)),
+      pool_(external ? *external : *owned_pool_),
       counters_(config_.metrics),
-      board_(config_.metrics),
-      queue_(config_.checkin_queue_max, config_.metrics),
-      auth_refused_frame_(make_auth_refused_frame()),
       checkouts_served_(registry_of(config_).counter(
           "crowdml_engine_checkouts_served_total",
           "Checkouts answered from the snapshot board on an I/O thread",
-          obs::Provenance::kTransportEvent)),
-      commit_failures_(registry_of(config_).counter(
-          "crowdml_engine_commit_failures_total",
-          "Applier batches whose group commit failed (all acks nacked)",
           obs::Provenance::kTransportEvent)),
       checkins_redirected_(registry_of(config_).counter(
           "crowdml_engine_checkins_redirected_total",
@@ -61,26 +78,15 @@ EpollCrowdServer::EpollCrowdServer(core::Server& server,
           "crowdml_engine_stale_checkouts_refused_total",
           "Checkouts nacked because the replica's applied position lagged "
           "the leader's committed watermark past --max-read-lag",
-          obs::Provenance::kTransportEvent)),
-      batch_size_(registry_of(config_).histogram(
-          "crowdml_engine_batch_size",
-          "Checkins applied per applier wakeup (group-commit batch)",
-          obs::Provenance::kTransportEvent,
-          obs::exponential_bounds(1.0, 2.0, 10))),
-      handle_seconds_(registry_of(config_).histogram(
-          "crowdml_server_handle_seconds",
-          "Whole request dispatch: decode, authenticate, apply, encode",
-          obs::Provenance::kTiming)) {
+          obs::Provenance::kTransportEvent)) {
   if (config_.io_threads == 0) config_.io_threads = 1;
-  if (config_.checkin_batch_max == 0) config_.checkin_batch_max = 1;
-  group_commit_ = std::move(config_.group_commit);
+  // Follower mode pauses the pool's board publication before its
+  // appliers start.
   set_checkin_redirect(config_.checkin_redirect);
-  protocol_.set_secagg(config_.secagg);
-  protocol_.set_shard(config_.shard);
-
-  // The board must hold a snapshot before any I/O thread can serve a
-  // checkout from it.
-  board_.publish(server_);
+  for (std::size_t i = 0; i < pool_.instances(); ++i) {
+    pool_.protocol(i).set_secagg(config_.secagg);
+    pool_.protocol(i).set_shard(config_.shard);
+  }
 
   EventLoop::Options loop_opts;
   loop_opts.idle_timeout_ms = config_.idle_timeout_ms;
@@ -99,8 +105,8 @@ EpollCrowdServer::EpollCrowdServer(core::Server& server,
   if (!listener) throw std::runtime_error("EpollCrowdServer: bind failed");
   listener_ = std::move(*listener);
   port_ = listener_.port();
+  pool_.start();
   acceptor_ = std::thread([this] { accept_loop(); });
-  applier_ = std::thread([this] { applier_loop(); });
 }
 
 EpollCrowdServer::~EpollCrowdServer() { shutdown(); }
@@ -117,8 +123,7 @@ void EpollCrowdServer::accept_loop() {
     if (!conn) break;  // listener closed
     if (stopping_.load()) break;
     if (connections() >= config_.max_connections) {
-      // Same graceful refusal as the legacy runtime: say why, with a
-      // retry hint, before hanging up.
+      // Graceful refusal: say why, with a retry hint, before hanging up.
       ++counters_.refused_connections;
       if (config_.trace)
         config_.trace->event("refusal", {{"reason", "server at capacity"}});
@@ -140,7 +145,7 @@ void EpollCrowdServer::accept_loop() {
 void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
                                 net::Bytes&& frame) {
   // Fast path: an authenticated checkout never touches the server — the
-  // response is the board's pre-encoded frame. Anything that is not a
+  // response is a board's pre-encoded frame. Anything that is not a
   // well-formed, auth-valid checkout (checkins, malformed frames, bad
   // tags) takes the applier path, where ProtocolServer keeps all
   // failure accounting in one place.
@@ -173,8 +178,7 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
             return;
           }
         }
-        const auto snap =
-            config_.draw_snapshot ? config_.draw_snapshot() : board_.current();
+        const auto snap = pool_.draw();
         ++checkouts_served_;
         if (config_.trace)
           config_.trace->event("checkout", {{"device", req.device_id},
@@ -249,17 +253,14 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
   work.conn_id = conn_id;
   work.loop = loop;
   work.frame = std::move(frame);
-  const bool admitted = config_.route_checkin
-                            ? config_.route_checkin(std::move(work))
-                            : queue_.try_push(std::move(work));
-  if (!admitted) {
+  if (!pool_.route(std::move(work))) {
     // Last-resort shed. With a coordinator the retry hint reserves the
     // (default-class; the frame is not decoded on this path) next paced
     // slot, so turned-away devices rejoin spread out instead of
     // re-colliding after a fixed delay.
     int retry_ms = config_.queue_retry_after_ms;
     if (config_.coordinator) {
-      config_.coordinator->observe_queue_depth(queue_.depth());
+      config_.coordinator->observe_queue_depth(pool_.queue_depth());
       retry_ms = config_.coordinator->shed_retry_after_ms(
           net::kDefaultDeviceClass, retry_ms);
     }
@@ -272,118 +273,6 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
   }
 }
 
-void EpollCrowdServer::applier_loop() {
-  using Clock = std::chrono::steady_clock;
-  std::vector<CheckinWork> batch;
-  std::vector<net::Bytes> responses;
-  std::vector<std::uint8_t> classes;
-  for (;;) {
-    batch.clear();
-    responses.clear();
-    classes.clear();
-    const std::size_t n = queue_.drain(batch, config_.checkin_batch_max, 100);
-    board_.refresh_age_gauge();
-    if (n == 0) {
-      if (queue_.closed()) break;
-      continue;
-    }
-    // Steering inputs: backlog left behind after this drain, and the
-    // batch's apply/commit wall time (fsync stalls discount capacity).
-    if (config_.coordinator)
-      config_.coordinator->observe_queue_depth(queue_.depth());
-    const Clock::time_point apply_start = Clock::now();
-
-    // Apply in arrival order — the server's update sequence is exactly
-    // the serialized order the legacy runtime would have produced.
-    responses.reserve(n);
-    classes.reserve(n);
-    for (const CheckinWork& work : batch) {
-      obs::TimedScope timer(handle_seconds_);
-      std::uint8_t cls = net::kDefaultDeviceClass;
-      responses.push_back(protocol_.handle(work.frame, &cls));
-      classes.push_back(cls);
-    }
-    const Clock::time_point commit_start = Clock::now();
-
-    // Group commit: one WAL fsync for the whole batch. On failure every
-    // ok-ack in the batch becomes a durability nack — the acks have not
-    // left yet, so "acked => durable" still never lies. The hook is
-    // copied under its lock each batch so promotion can swap it in
-    // between commits.
-    std::function<bool()> commit;
-    {
-      std::lock_guard<std::mutex> lock(gc_mu_);
-      commit = group_commit_;
-    }
-    const bool commit_ok = !commit || commit();
-    if (config_.coordinator)
-      config_.coordinator->observe_commit(
-          n, std::chrono::duration<double>(commit_start - apply_start).count(),
-          std::chrono::duration<double>(Clock::now() - commit_start).count());
-    if (!commit_ok) {
-      ++commit_failures_;
-      if (config_.trace)
-        config_.trace->event("group_commit_failed", {{"batch", n}});
-      const net::AckMessage nack{false, "durability failure"};
-      const net::Bytes nack_frame =
-          net::encode_frame(net::MessageType::kAck, nack.serialize());
-      for (std::size_t i = 0; i < n; ++i) {
-        if (batch[i].frame.size() <= net::kFrameTypeOffset ||
-            batch[i].frame[net::kFrameTypeOffset] !=
-                static_cast<std::uint8_t>(net::MessageType::kCheckin))
-          continue;
-        try {
-          const net::Frame f = net::decode_frame(responses[i]);
-          if (f.type == net::MessageType::kAck &&
-              net::AckMessage::deserialize(f.payload).ok)
-            responses[i] = nack_frame;
-        } catch (const net::CodecError&) {
-          // responses we encoded ourselves always decode; keep as-is
-        }
-      }
-    }
-
-    // Pace steering: every checkin ack (ok, rejection, or the durability
-    // nack above — the device is coming back either way) carries a
-    // consuming hint that reserves its class's next arrival slot. Runs
-    // after the nack rewrite so the hint survives it.
-    if (config_.coordinator) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (batch[i].frame.size() <= net::kFrameTypeOffset ||
-            batch[i].frame[net::kFrameTypeOffset] !=
-                static_cast<std::uint8_t>(net::MessageType::kCheckin))
-          continue;
-        responses[i] = net::frame_with_checkin_hint(
-            responses[i], config_.coordinator->checkin_hint_ms(classes[i]));
-      }
-    }
-
-    // Publish before releasing acks: a device that sees its ack and
-    // immediately checks out gets a snapshot that includes its update.
-    // In follower mode the replication thread is the board's single
-    // publisher (via republish()); the applier only ever saw
-    // non-checkin frames, so it has nothing new to publish anyway.
-    if (!redirect_active_.load(std::memory_order_acquire))
-      board_.publish(server_);
-    batch_size_.observe(static_cast<double>(n));
-
-    // Release acks grouped per event loop: one wakeup carries the whole
-    // batch's responses instead of one post per response.
-    std::unordered_map<EventLoop*, std::vector<std::pair<std::uint64_t, net::Bytes>>>
-        by_loop;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (batch[i].complete)
-        batch[i].complete(std::move(responses[i]));
-      else if (batch[i].loop)
-        by_loop[batch[i].loop].emplace_back(batch[i].conn_id,
-                                            std::move(responses[i]));
-    }
-    for (auto& [loop, items] : by_loop) loop->send_many(std::move(items));
-  }
-}
-
-void EpollCrowdServer::republish() { board_.publish(server_); }
-
 void EpollCrowdServer::set_checkin_redirect(const std::string& leader_addr) {
   {
     std::lock_guard<std::mutex> lock(redirect_mu_);
@@ -393,11 +282,16 @@ void EpollCrowdServer::set_checkin_redirect(const std::string& leader_addr) {
   // Release so an I/O thread that sees the flag also sees the frame it
   // guards (and, on promotion, a publisher handoff already completed).
   redirect_active_.store(!leader_addr.empty(), std::memory_order_release);
+  pool_.set_publishing(leader_addr.empty());
 }
 
 void EpollCrowdServer::set_group_commit(std::function<bool()> hook) {
-  std::lock_guard<std::mutex> lock(gc_mu_);
-  group_commit_ = std::move(hook);
+  if (!hook) {
+    pool_.set_on_commit(nullptr);
+    return;
+  }
+  pool_.set_on_commit(
+      [commit = std::move(hook)](std::size_t) { return commit(); });
 }
 
 void EpollCrowdServer::shutdown() {
@@ -405,12 +299,8 @@ void EpollCrowdServer::shutdown() {
   listener_.close();
   if (acceptor_.joinable()) acceptor_.join();
   // Drain before stopping the loops: every admitted request still gets
-  // its response, and the applier's completions post to live loops.
-  queue_.close();
-  if (applier_.joinable()) applier_.join();
-  // Multimodel: the pool's per-instance appliers drain here, while the
-  // loops are still alive to carry their responses.
-  if (config_.shutdown_drain) config_.shutdown_drain();
+  // its response, and the appliers' completions post to live loops.
+  pool_.shutdown();
   for (auto& loop : loops_) loop->stop();
 }
 

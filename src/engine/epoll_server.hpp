@@ -1,33 +1,32 @@
-// Scalable serving engine: epoll event loops + snapshot checkouts +
-// batched checkin application with group commit.
+// Serving engine: epoll event loops + snapshot checkouts + batched
+// checkin application with group commit.
 //
-// The thread-per-connection runtime (core::TcpCrowdServer) spends one OS
-// thread per device and funnels every request — reads and writes alike —
-// through the server's state lock, and with `--fsync always` pays one
-// fsync per checkin. This engine restructures the same protocol around
-// the workload's actual shape (Section IV-B: checkouts vastly outnumber
-// and out-size checkins; checkins are small but must serialize):
+// The engine shapes the protocol around the workload (Section IV-B:
+// checkouts vastly outnumber and out-size checkins; checkins are small
+// but must serialize):
 //
 //   - a configurable pool of epoll EventLoops multiplexes all device
 //     connections on a few threads (nonblocking frame state machines
 //     reusing the net:: codec and deadline semantics);
-//   - checkouts are served on the I/O thread from the
-//     ModelSnapshotBoard's pre-encoded frame — no state lock, no
-//     serialization work, no contention with updates;
-//   - checkins flow through a bounded MPSC CheckinQueue to one applier
-//     thread, which applies them in arrival order (the server's update
-//     sequence stays identical to the serialized legacy order), group-
-//     commits the whole batch's WAL appends with a single fsync
-//     (store::DurableStore::commit_group), republishes the board, and
-//     only then releases the acks — acked => durable still holds;
+//   - checkouts are served on the I/O thread from a ModelSnapshotBoard's
+//     pre-encoded frame — no state lock, no serialization work, no
+//     contention with updates;
+//   - every other frame flows through a bounded CheckinQueue to the
+//     applier of a ModelInstancePool (engine/instance_pool.hpp), which
+//     applies in arrival order — the paper's serial update sequence —
+//     group-commits the batch's WAL appends with a single fsync,
+//     republishes the board, and only then releases the acks, so
+//     acked => durable holds. A single-instance pool is the default; a
+//     caller-built pool of k instances serves draw-and-discard;
 //   - admission control: a full queue sheds with a machine-readable
 //     "retry_after_ms" nack (net::retry_after_reason) that
 //     ReconnectingDeviceSession honors as its next delay, so overload
 //     degrades into scheduled retries instead of timeout storms.
 //
-// Observable behavior matches the legacy runtime in every ordering-
-// deterministic test: same frames, same acks, same final (w, t) for the
-// same arrival order. See docs/SCALING.md.
+// For the same arrival order the engine produces the same frames, acks
+// and final (w, t) as dispatching every frame through
+// core::ProtocolServer::handle directly (tests/engine_test.cpp,
+// EngineParity). See docs/SCALING.md.
 #pragma once
 
 #include <atomic>
@@ -42,9 +41,8 @@
 #include "coord/coordinator.hpp"
 #include "core/monitor.hpp"
 #include "core/protocol.hpp"
-#include "engine/checkin_queue.hpp"
 #include "engine/event_loop.hpp"
-#include "engine/snapshot_board.hpp"
+#include "engine/instance_pool.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -62,20 +60,23 @@ struct EngineConfig {
   /// capacity nack with a retry hint and are closed.
   std::size_t max_connections = 256;
   int capacity_retry_after_ms = 250;
-  /// Close connections silent for this long (<= 0 disables), same
-  /// semantics as TcpServerConfig::idle_timeout_ms.
+  /// Close connections silent for this long (a device silent past it
+  /// reconnects on its next cycle); <= 0 disables.
   int idle_timeout_ms = -1;
   /// Bounded checkin queue: when full, requests are shed with a nack
-  /// carrying this retry hint.
+  /// carrying this retry hint. The bound and the batch size below size
+  /// the engine's own single-instance pool; a caller-built pool carries
+  /// its own (PoolOptions).
   std::size_t checkin_queue_max = 1024;
   int queue_retry_after_ms = 50;
   /// Most checkins applied (and group-committed) per applier wakeup.
   std::size_t checkin_batch_max = 256;
-  /// Group-commit hook, called once per drained batch after every update
-  /// applied; returning false nacks the whole batch's acks ("durability
-  /// failure"). Wire store::DurableStore::commit_group here (after
-  /// set_group_commit(true)); leave null when no durability layer is
-  /// attached (or it appends per record).
+  /// Group-commit hook of the engine's own single-instance pool, called
+  /// once per drained batch after every update applied; returning false
+  /// nacks the whole batch's acks ("durability failure"). Wire
+  /// store::DurableStore::commit_group here (after set_group_commit(true));
+  /// leave null when no durability layer is attached (or it appends per
+  /// record). A caller-built pool commits through PoolOptions::on_commit.
   std::function<bool()> group_commit;
   /// Follower mode (read replica): when set to the leader's device
   /// address ("host:port"), checkins are refused on the I/O thread with
@@ -110,23 +111,6 @@ struct EngineConfig {
   /// group-commit barrier. Null (the default) nacks those frames with
   /// "sharding disabled". Must outlive the engine.
   core::ShardHandler* shard = nullptr;
-  /// Multimodel serving (draw-and-discard; src/multimodel/). When set,
-  /// an authenticated checkout is answered from the snapshot this hook
-  /// returns — a uniformly drawn instance's board — instead of the
-  /// engine's own board. Called on I/O threads; must be lock-free-cheap
-  /// and never null-return.
-  std::function<std::shared_ptr<const ModelSnapshot>()> draw_snapshot;
-  /// Multimodel routing: when set, every non-checkout frame is handed
-  /// here (a uniformly drawn instance's CheckinQueue) instead of the
-  /// engine's own queue; false means every instance refused it and the
-  /// I/O thread sheds with the usual retry_after nack. The engine's own
-  /// applier then never sees traffic — the pool's per-instance appliers
-  /// own application, group commit, and board publication.
-  std::function<bool(CheckinWork&&)> route_checkin;
-  /// Called during shutdown() after the engine's own queue is drained
-  /// and before the event loops stop — the pool drains its per-instance
-  /// queues here so every admitted request still answers on a live loop.
-  std::function<void()> shutdown_drain;
   /// Pace steering (src/coord/; docs/SCALING.md "Pace steering"). When
   /// set, every checkout response and checkin ack carries a positive
   /// next_checkin_hint_ms (advisory on checkouts, slot-consuming on
@@ -135,8 +119,9 @@ struct EngineConfig {
   /// stretched to the class's next reserved slot — shedding becomes the
   /// last resort behind steering. Null (the default) disables steering
   /// entirely: ack and params frames are bit-identical to the
-  /// pre-coordinator path. Must outlive the engine; not compatible with
-  /// route_checkin pools (the per-instance appliers own those clocks).
+  /// pre-coordinator path. Must outlive the engine. With a caller-built
+  /// pool only the checkout and shed hints come from here; each
+  /// instance's applier steers with its own PoolOptions clock.
   coord::Coordinator* coordinator = nullptr;
   /// Secure-aggregation cohort manager (docs/PRIVACY.md). Frame types
   /// 11-13 (SecAggAssign/Masked/Reveal) dispatch to it after
@@ -153,10 +138,17 @@ struct EngineConfig {
 
 class EpollCrowdServer {
  public:
-  /// Binds, publishes the initial snapshot, and starts the I/O loops,
-  /// acceptor, and applier. Throws std::runtime_error when the bind
-  /// fails.
+  /// Serves `server` through an engine-owned single-instance pool whose
+  /// commit hook is config.group_commit. Binds, publishes the initial
+  /// snapshot, and starts the I/O loops, acceptor, and applier. Throws
+  /// std::runtime_error when the bind fails.
   EpollCrowdServer(core::Server& server, net::AuthRegistry& auth,
+                   EngineConfig config);
+  /// Serves a caller-built pool (draw-and-discard, k >= 1). The pool must
+  /// outlive the engine; the engine attaches the secagg/shard handlers
+  /// to its dispatchers and starts it, so hand it over unstarted.
+  /// shutdown() drains it.
+  EpollCrowdServer(ModelInstancePool& pool, net::AuthRegistry& auth,
                    EngineConfig config);
   ~EpollCrowdServer();
 
@@ -164,12 +156,12 @@ class EpollCrowdServer {
   EpollCrowdServer& operator=(const EpollCrowdServer&) = delete;
 
   std::uint16_t port() const { return port_; }
-  const core::ProtocolServer& protocol() const { return protocol_; }
-  const ModelSnapshotBoard& board() const { return board_; }
-  const CheckinQueue& queue() const { return queue_; }
+  /// Instance 0's dispatcher — the only one of a single-instance pool.
+  const core::ProtocolServer& protocol() const { return pool_.protocol(0); }
+  const ModelInstancePool& pool() const { return pool_; }
   std::size_t connections() const;
   long long checkouts_served() const { return checkouts_served_.value(); }
-  long long commit_failures() const { return commit_failures_.value(); }
+  long long commit_failures() const { return pool_.commit_failures(); }
   long long stale_checkouts_refused() const {
     return stale_checkouts_refused_.value();
   }
@@ -179,11 +171,11 @@ class EpollCrowdServer {
     return counters_.snapshot();
   }
 
-  /// Re-publish the snapshot board from the server's current state.
+  /// Re-publish the snapshot boards from the servers' current state.
   /// Follower mode only: called by the replication thread after each
   /// applied batch (the board's single-publisher contract moves to that
   /// thread; the applier skips publication while a redirect is active).
-  void republish();
+  void republish() { pool_.republish(); }
 
   /// Retarget (or clear) the follower-mode checkin redirect at runtime.
   /// Non-empty: checkins nack with not_leader_reason(addr). Empty: this
@@ -199,26 +191,24 @@ class EpollCrowdServer {
   /// and new shipper in). Takes effect from the next drained batch.
   void set_group_commit(std::function<bool()> hook);
 
-  /// Stop accepting, drain the queue (every admitted request still gets
+  /// Stop accepting, drain the pool (every admitted request still gets
   /// its response), stop the loops, and join everything.
   void shutdown();
 
  private:
+  EpollCrowdServer(std::unique_ptr<ModelInstancePool> owned,
+                   ModelInstancePool* external, net::AuthRegistry& auth,
+                   const EngineConfig& config);
   void accept_loop();
-  void applier_loop();
   /// Frame dispatch on an I/O thread: auth-valid checkouts are answered
-  /// from the board; everything else is queued for the applier or shed.
+  /// from a board; everything else is routed to the pool or shed.
   void on_frame(EventLoop* loop, std::uint64_t conn_id, net::Bytes&& frame);
 
   EngineConfig config_;
-  core::Server& server_;
   net::AuthRegistry& auth_;
-  core::ProtocolServer protocol_;
+  std::unique_ptr<ModelInstancePool> owned_pool_;
+  ModelInstancePool& pool_;
   core::NetCounters counters_;
-  ModelSnapshotBoard board_;
-  CheckinQueue queue_;
-  /// Pre-encoded refusal frame for checkout auth failures (constant).
-  net::Bytes auth_refused_frame_;
   /// Pre-encoded "not leader" nack for checkins in follower mode. The
   /// atomic flag gates the hot path; the frame itself (rebuilt by
   /// set_checkin_redirect) is read under redirect_mu_.
@@ -226,24 +216,17 @@ class EpollCrowdServer {
   mutable std::mutex redirect_mu_;
   std::string checkin_redirect_;
   net::Bytes checkin_redirect_frame_;
-  /// Group-commit hook; swappable at runtime (promotion).
-  std::mutex gc_mu_;
-  std::function<bool()> group_commit_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   net::TcpListener listener_;
   std::uint16_t port_ = 0;
   std::thread acceptor_;
-  std::thread applier_;
   std::size_t next_loop_ = 0;  ///< acceptor-thread round-robin cursor
   std::atomic<bool> stopping_{false};
 
   obs::Counter& checkouts_served_;
-  obs::Counter& commit_failures_;
   obs::Counter& checkins_redirected_;
   obs::Counter& checkins_wrong_shard_;
   obs::Counter& stale_checkouts_refused_;
-  obs::Histogram& batch_size_;
-  obs::Histogram& handle_seconds_;
 };
 
 }  // namespace crowdml::engine

@@ -232,9 +232,11 @@ void EventLoop::sweep_idle() {
   for (const auto& [id, conn] : conns_)
     if (conn->last_activity < cutoff) idle.push_back(id);
   for (const auto id : idle) {
+    // Close first: a reader that sees the counter move also sees the
+    // connection gone from connections().
+    close_conn(id);
     if (opts_.idle_closed) ++*opts_.idle_closed;
     if (opts_.trace) opts_.trace->event("idle_close");
-    close_conn(id);
   }
 }
 

@@ -1,14 +1,15 @@
-#include "multimodel/instance_pool.hpp"
+#include "engine/instance_pool.hpp"
 
 #include <chrono>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
+#include "engine/event_loop.hpp"
 #include "obs/profile.hpp"
 #include "rng/engine.hpp"
 
-namespace crowdml::multimodel {
+namespace crowdml::engine {
 
 namespace {
 
@@ -59,23 +60,20 @@ OverwriteRecord OverwriteRecord::deserialize(const net::Bytes& payload) {
 }
 
 ModelInstancePool::Slot::Slot(std::size_t idx,
-                              std::unique_ptr<core::Server> srv,
-                              net::AuthRegistry& auth,
+                              std::unique_ptr<core::Server> owned,
+                              core::Server& srv, net::AuthRegistry& auth,
                               const PoolOptions& opts)
     : index(idx),
-      server(std::move(srv)),
+      owned_server(std::move(owned)),
+      server(&srv),
+      protocol(srv, auth, opts.trace),
       board(opts.metrics),
-      queue(opts.checkin_queue_max, opts.metrics) {
-  protocol =
-      std::make_unique<core::ProtocolServer>(*server, auth, opts.trace);
-  // Deterministic per-instance discard stream, keyed by index so the
-  // stream does not depend on construction order.
-  discard_state = opts.seed ^ (kStreamStep * (idx + 1));
-}
+      queue(opts.checkin_queue_max, opts.metrics),
+      // Deterministic per-instance discard stream, keyed by index so the
+      // stream does not depend on construction order.
+      discard_state(opts.seed ^ (kStreamStep * (idx + 1))) {}
 
-ModelInstancePool::ModelInstancePool(net::AuthRegistry& auth,
-                                     const ServerFactory& factory,
-                                     PoolOptions options)
+ModelInstancePool::ModelInstancePool(PoolOptions options)
     : opts_(std::move(options)),
       overwrites_applied_(registry_of(opts_).counter(
           "crowdml_multimodel_overwrites_applied_total",
@@ -87,42 +85,72 @@ ModelInstancePool::ModelInstancePool(net::AuthRegistry& auth,
           "Discard overwrites shed because the victim instance's queue "
           "was full (the update survives one extra round instead)",
           obs::Provenance::kTransportEvent)),
-      checkins_applied_(registry_of(opts_).counter(
-          "crowdml_multimodel_checkins_applied_total",
-          "Checkins applied across all pool instances",
+      commit_failures_(registry_of(opts_).counter(
+          "crowdml_engine_commit_failures_total",
+          "Applier batches whose group commit failed (all acks nacked)",
           obs::Provenance::kTransportEvent)),
+      batch_size_(registry_of(opts_).histogram(
+          "crowdml_engine_batch_size",
+          "Checkins applied per applier wakeup (group-commit batch)",
+          obs::Provenance::kTransportEvent,
+          obs::exponential_bounds(1.0, 2.0, 10))),
       handle_seconds_(registry_of(opts_).histogram(
           "crowdml_server_handle_seconds",
           "Whole request dispatch: decode, authenticate, apply, encode",
           obs::Provenance::kTiming)) {
   if (opts_.instances == 0) opts_.instances = 1;
   if (opts_.checkin_batch_max == 0) opts_.checkin_batch_max = 1;
+  if (opts_.on_commit)
+    on_commit_ = std::make_shared<const CommitHook>(std::move(opts_.on_commit));
 
   // Independent draw/route streams, both derived from the pool seed.
   std::uint64_t seed_state = opts_.seed;
   draw_state_.store(rng::splitmix64(seed_state));
   route_state_.store(rng::splitmix64(seed_state));
+}
 
+ModelInstancePool::ModelInstancePool(net::AuthRegistry& auth,
+                                     const ServerFactory& factory,
+                                     PoolOptions options)
+    : ModelInstancePool(std::move(options)) {
   slots_.reserve(opts_.instances);
   for (std::size_t i = 0; i < opts_.instances; ++i) {
-    auto slot = std::make_unique<Slot>(i, factory(i), auth, opts_);
-    if (opts_.coordinator_factory)
-      slot->coordinator = opts_.coordinator_factory(i);
-    if (!opts_.wal_dir.empty()) {
-      store::DurableStoreOptions sopts = opts_.store;
-      install_overwrite_replay(sopts);
-      slot->store = std::make_unique<store::DurableStore>(
-          store::DurableStore::instance_dir(opts_.wal_dir, i,
-                                            opts_.instances),
-          std::move(sopts));
-      slot->store->recover(*slot->server);
-      slot->store->attach(*slot->server);
-      slot->store->set_group_commit(true);
-    }
-    // Valid snapshot before any checkout can draw this instance.
-    slot->board.publish(*slot->server);
-    slots_.push_back(std::move(slot));
+    std::unique_ptr<core::Server> server = factory(i);
+    core::Server& srv = *server;
+    add_slot(auth, std::move(server), srv);
   }
+}
+
+ModelInstancePool::ModelInstancePool(net::AuthRegistry& auth,
+                                     core::Server& server, PoolOptions options)
+    : ModelInstancePool(std::move(options)) {
+  if (opts_.instances != 1 || !opts_.wal_dir.empty())
+    throw std::invalid_argument(
+        "ModelInstancePool: a caller-owned server is one instance, and its "
+        "durability is the caller's");
+  add_slot(auth, nullptr, server);
+}
+
+void ModelInstancePool::add_slot(net::AuthRegistry& auth,
+                                 std::unique_ptr<core::Server> owned,
+                                 core::Server& server) {
+  const std::size_t i = slots_.size();
+  auto slot = std::make_unique<Slot>(i, std::move(owned), server, auth, opts_);
+  if (opts_.coordinator_factory)
+    slot->coordinator = opts_.coordinator_factory(i);
+  if (!opts_.wal_dir.empty()) {
+    store::DurableStoreOptions sopts = opts_.store;
+    install_overwrite_replay(sopts);
+    slot->store = std::make_unique<store::DurableStore>(
+        store::DurableStore::instance_dir(opts_.wal_dir, i, opts_.instances),
+        std::move(sopts));
+    slot->store->recover(server);
+    slot->store->attach(server);
+    slot->store->set_group_commit(true);
+  }
+  // Valid snapshot before any checkout can draw this instance.
+  slot->board.publish(server);
+  slots_.push_back(std::move(slot));
 }
 
 ModelInstancePool::~ModelInstancePool() { shutdown(); }
@@ -144,23 +172,42 @@ void ModelInstancePool::shutdown() {
     if (slot->store) slot->store->sync();
 }
 
+void ModelInstancePool::set_on_commit(std::function<bool(std::size_t)> hook) {
+  auto next = hook ? std::make_shared<const CommitHook>(std::move(hook))
+                   : nullptr;
+  std::lock_guard<std::mutex> lock(commit_mu_);
+  on_commit_ = std::move(next);
+}
+
+void ModelInstancePool::republish() {
+  for (auto& slot : slots_) slot->board.publish(*slot->server);
+}
+
 std::size_t ModelInstancePool::draw_index(std::atomic<std::uint64_t>& state) {
   const std::uint64_t z =
       state.fetch_add(kStreamStep, std::memory_order_relaxed) + kStreamStep;
   return static_cast<std::size_t>(mix64(z) % slots_.size());
 }
 
-std::shared_ptr<const engine::ModelSnapshot> ModelInstancePool::draw_snapshot() {
-  const std::size_t i = slots_.size() == 1 ? 0 : draw_index(draw_state_);
+std::shared_ptr<const ModelSnapshot> ModelInstancePool::draw() {
+  if (slots_.size() == 1) return slots_[0]->board.current();
+  const std::size_t i = draw_index(draw_state_);
   slots_[i]->draws.fetch_add(1, std::memory_order_relaxed);
   return slots_[i]->board.current();
 }
 
-bool ModelInstancePool::route_checkin(engine::CheckinWork&& work) {
-  const std::size_t i = slots_.size() == 1 ? 0 : draw_index(route_state_);
+bool ModelInstancePool::route(CheckinWork&& work) {
+  if (slots_.size() == 1) return slots_[0]->queue.try_push(std::move(work));
+  const std::size_t i = draw_index(route_state_);
   if (!slots_[i]->queue.try_push(std::move(work))) return false;
   slots_[i]->routes.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+std::size_t ModelInstancePool::queue_depth() const {
+  std::size_t total = 0;
+  for (const auto& slot : slots_) total += slot->queue.depth();
+  return total;
 }
 
 std::uint64_t ModelInstancePool::total_version() const {
@@ -196,10 +243,43 @@ std::vector<long long> ModelInstancePool::discard_counts() const {
   return out;
 }
 
+bool ModelInstancePool::commit(Slot& slot) {
+  if (slot.store) {
+    if (!slot.store->commit_group()) return false;
+    slot.lazy_records = 0;
+  }
+  std::shared_ptr<const CommitHook> hook;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    hook = on_commit_;
+  }
+  return !hook || (*hook)(slot.index);
+}
+
+void ModelInstancePool::apply_overwrite(Slot& slot, const net::Bytes& record) {
+  try {
+    const auto rec = OverwriteRecord::deserialize(record);
+    const std::uint64_t v = slot.server->overwrite_parameters(rec.w);
+    if (slot.store) {
+      slot.store->log_record(v, record);
+      ++slot.lazy_records;
+    }
+    ++overwrites_applied_;
+    if (opts_.trace)
+      opts_.trace->event("overwrite_applied", {{"instance", slot.index},
+                                               {"source", rec.source_instance},
+                                               {"version", v}});
+  } catch (const std::exception&) {
+    // A malformed or mis-sized overwrite never reaches here from our own
+    // appliers; drop rather than poison the instance.
+    ++overwrites_dropped_;
+  }
+}
+
 void ModelInstancePool::applier_loop(Slot& slot) {
   using Clock = std::chrono::steady_clock;
   const std::size_t k = slots_.size();
-  std::vector<engine::CheckinWork> batch;
+  std::vector<CheckinWork> batch;
   std::vector<net::Bytes> responses;
   std::vector<std::uint8_t> classes;
   // Distinct discard victims drawn this batch (coalesced: one overwrite
@@ -219,53 +299,31 @@ void ModelInstancePool::applier_loop(Slot& slot) {
       // stream does — followers only see committed records — so flush
       // once the queue goes quiet (one drain timeout bounds the lag).
       // A failed flush just leaves them for the next pass.
-      if (slot.lazy_records > 0 && slot.store && slot.store->commit_group()) {
-        slot.lazy_records = 0;
-        if (opts_.on_commit) opts_.on_commit(slot.index);
-      }
+      if (slot.lazy_records > 0) commit(slot);
       if (slot.queue.closed()) break;
       continue;
     }
 
-    // Apply in arrival order. Two item kinds flow through one queue:
-    // protocol frames (checkins etc.) handled by this instance's
-    // ProtocolServer, and overwrite records (draw-and-discard victims)
-    // distinguishable by their opaque first word. Routing overwrites
-    // through the victim's own queue is what serializes *every* mutation
-    // of this instance onto this thread — and into this WAL, in apply
-    // order, which per-instance recovery replays bit-for-bit.
     // Steering inputs for this instance's own clock: backlog left after
-    // the drain, then the batch's apply/commit wall time below. Each
-    // applier feeds only its own Coordinator — k clocks, k appliers.
+    // the drain, then the batch's apply/commit wall time below.
     if (slot.coordinator)
       slot.coordinator->observe_queue_depth(slot.queue.depth());
     const Clock::time_point apply_start = Clock::now();
 
+    // Apply in arrival order. Two item kinds flow through one queue:
+    // protocol frames (checkins etc.) handled by this instance's
+    // ProtocolServer, and overwrite records (draw-and-discard victims)
+    // that only appliers enqueue. Routing overwrites
+    // through the victim's own queue is what serializes *every* mutation
+    // of this instance onto this thread — and into this WAL, in apply
+    // order, which per-instance recovery replays bit-for-bit.
     responses.reserve(n);
     classes.reserve(n);
-    std::size_t applied_checkins = 0;
     std::size_t client_frames = 0;
-    for (const engine::CheckinWork& work : batch) {
-      if (store::is_opaque_record(work.frame)) {
-        try {
-          const auto rec = OverwriteRecord::deserialize(work.frame);
-          const std::uint64_t v =
-              slot.server->overwrite_parameters(rec.w);
-          if (slot.store) {
-            slot.store->log_record(v, work.frame);
-            ++slot.lazy_records;
-          }
-          ++overwrites_applied_;
-          if (opts_.trace)
-            opts_.trace->event("overwrite_applied",
-                               {{"instance", slot.index},
-                                {"source", rec.source_instance},
-                                {"version", v}});
-        } catch (const std::exception&) {
-          // A malformed or mis-sized overwrite never reaches here from
-          // our own appliers; drop rather than poison the instance.
-          ++overwrites_dropped_;
-        }
+    bool drew_victim = false;
+    for (const CheckinWork& work : batch) {
+      if (work.overwrite) {
+        apply_overwrite(slot, work.frame);
         responses.emplace_back();
         classes.push_back(net::kDefaultDeviceClass);
         continue;
@@ -273,50 +331,46 @@ void ModelInstancePool::applier_loop(Slot& slot) {
       ++client_frames;
       obs::TimedScope timer(handle_seconds_);
       std::uint8_t cls = net::kDefaultDeviceClass;
-      responses.push_back(slot.protocol->handle(work.frame, &cls));
+      responses.push_back(slot.protocol.handle(work.frame, &cls));
       classes.push_back(cls);
-      // An applied checkin (ok-ack) triggers one discard draw —
-      // per-update uniform over the k instances, from this instance's
-      // deterministic stream.
-      if (is_ok_checkin(batch[responses.size() - 1].frame,
-                        responses.back())) {
-        ++applied_checkins;
-        ++checkins_applied_;
+      // An applied checkin (ok ack) owes one discard draw — per-update
+      // uniform over the k instances, from this instance's deterministic
+      // stream. With k = 1 every draw is the instance itself, so the ack
+      // is not even decoded.
+      if (k > 1 && is_ok_checkin(work.frame, responses.back())) {
         const std::size_t v = static_cast<std::size_t>(
             rng::splitmix64(slot.discard_state) % k);
         slots_[v]->discards.fetch_add(1, std::memory_order_relaxed);
         victim[v] = true;
+        drew_victim = true;
       }
     }
 
     // Group commit: one WAL fsync covers the batch's checkin records plus
-    // any overwrite records still buffered from earlier batches. An
-    // overwrite-only batch defers its commit instead (up to
-    // kLazyOverwriteFlush records): overwrites carry no client ack, so
-    // they owe no fsync of their own — deferring keeps the pool's fsync
-    // rate at one per *acked* batch, which is what lets k per-instance
-    // commit clocks overlap their fsync stalls instead of doubling them.
-    // A crash can lose an uncommitted overwrite tail; recovery still
-    // replays a clean WAL prefix, and no ack ever covered those records.
-    // On commit failure every ok-ack becomes a durability nack before
-    // release — acked => durable never lies (the store requeues unwritten
-    // records, so the log stays contiguous).
+    // any overwrite records still buffered from earlier batches, then the
+    // commit hook (shipping, quorum wait). An overwrite-only batch defers
+    // its commit instead (up to kLazyOverwriteFlush records): overwrites
+    // carry no client ack, so they owe no fsync of their own — deferring
+    // keeps the pool's fsync rate at one per *acked* batch, which is what
+    // lets k per-instance commit clocks overlap their fsync stalls
+    // instead of doubling them. A crash can lose an uncommitted overwrite
+    // tail; recovery still replays a clean WAL prefix, and no ack ever
+    // covered those records. On commit failure every ok ack becomes a
+    // durability nack before release — acked => durable never lies (the
+    // store requeues unwritten records, so the log stays contiguous).
     const bool must_commit =
         client_frames > 0 || slot.lazy_records >= kLazyOverwriteFlush;
     const Clock::time_point commit_start = Clock::now();
-    bool committed = true;
-    if (must_commit) {
-      if (slot.store) committed = slot.store->commit_group();
-      if (committed) slot.lazy_records = 0;
-      if (committed && opts_.on_commit)
-        committed = opts_.on_commit(slot.index);
-    }
+    const bool committed = !must_commit || commit(slot);
     if (slot.coordinator)
       slot.coordinator->observe_commit(
           client_frames,
           std::chrono::duration<double>(commit_start - apply_start).count(),
           std::chrono::duration<double>(Clock::now() - commit_start).count());
     if (!committed) {
+      ++commit_failures_;
+      if (opts_.trace)
+        opts_.trace->event("group_commit_failed", {{"batch", n}});
       const net::AckMessage nack{false, "durability failure"};
       const net::Bytes nack_frame =
           net::encode_frame(net::MessageType::kAck, nack.serialize());
@@ -326,10 +380,11 @@ void ModelInstancePool::applier_loop(Slot& slot) {
     }
 
     // Pace steering: every checkin ack this instance produced (ok,
-    // rejection, or the durability nack above) carries a consuming hint
-    // from this instance's own clock. Runs after the nack rewrite so the
-    // hint survives it; overwrite records carry no response and are
-    // skipped by the frame-type check.
+    // rejection, or the durability nack above — the device is coming
+    // back either way) carries a consuming hint from this instance's own
+    // clock. Runs after the nack rewrite so the hint survives it;
+    // overwrite records carry no response and are skipped by the
+    // frame-type check.
     if (slot.coordinator) {
       for (std::size_t i = 0; i < n; ++i) {
         if (batch[i].frame.size() <= net::kFrameTypeOffset ||
@@ -343,11 +398,10 @@ void ModelInstancePool::applier_loop(Slot& slot) {
 
     // Discard step: ship this instance's batch-final parameters to each
     // distinct victim drawn above (self-draws are the no-op of replacing
-    // an instance with itself — with k = 1 that is every draw, so the
-    // single-instance pool never enqueues or logs an overwrite). A full
-    // victim queue sheds the overwrite: the victim's parameters simply
-    // survive one extra round, which biases nothing.
-    if (applied_checkins > 0 && k > 1) {
+    // an instance with itself). A full victim queue sheds the overwrite:
+    // the victim's parameters simply survive one extra round, which
+    // biases nothing.
+    if (drew_victim) {
       OverwriteRecord rec;
       rec.source_instance = slot.index;
       rec.w = slot.server->parameters();
@@ -356,18 +410,21 @@ void ModelInstancePool::applier_loop(Slot& slot) {
         if (!victim[v]) continue;
         victim[v] = false;
         if (v == slot.index) continue;
-        engine::CheckinWork ow;
+        CheckinWork ow;
         ow.frame = payload;
-        if (!slots_[v]->queue.try_push(std::move(ow)))
-          ++overwrites_dropped_;
+        ow.overwrite = true;
+        if (!slots_[v]->queue.try_push(std::move(ow))) ++overwrites_dropped_;
       }
-    } else {
-      for (std::size_t v = 0; v < k; ++v) victim[v] = false;
     }
 
     // Publish before releasing acks: a device that sees its ack and
-    // immediately checks out can draw this instance and find its update.
-    slot.board.publish(*slot.server);
+    // immediately checks out gets a snapshot that includes its update.
+    // While publication is off (follower mode) the replication thread is
+    // the board's single publisher.
+    if (publishing_.load(std::memory_order_acquire))
+      slot.board.publish(*slot.server);
+    if (client_frames > 0)
+      batch_size_.observe(static_cast<double>(client_frames));
 
     // Release responses grouped per event loop (overwrite items carry no
     // destination and fall through). Single-item batches — the norm at
@@ -381,7 +438,7 @@ void ModelInstancePool::applier_loop(Slot& slot) {
         batch[0].loop->send_many(std::move(one));
       }
     } else {
-      std::unordered_map<engine::EventLoop*,
+      std::unordered_map<EventLoop*,
                          std::vector<std::pair<std::uint64_t, net::Bytes>>>
           by_loop;
       for (std::size_t i = 0; i < n; ++i) {
@@ -423,12 +480,4 @@ void install_overwrite_replay(store::DurableStoreOptions& opts) {
   };
 }
 
-void wire_engine(ModelInstancePool& pool, engine::EngineConfig& config) {
-  config.draw_snapshot = [&pool] { return pool.draw_snapshot(); };
-  config.route_checkin = [&pool](engine::CheckinWork&& work) {
-    return pool.route_checkin(std::move(work));
-  };
-  config.shutdown_drain = [&pool] { pool.shutdown(); };
-}
-
-}  // namespace crowdml::multimodel
+}  // namespace crowdml::engine

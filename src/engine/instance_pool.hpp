@@ -1,20 +1,22 @@
-// Draw-and-discard multi-model serving: k parallel appliers, one model
-// instance each (Pihur et al., "Differentially-Private 'Draw and
-// Discard' Machine Learning", PAPERS.md).
+// The serving engine's applier: k model instances, one applier thread
+// each, with draw-and-discard across them (Pihur et al.,
+// "Differentially-Private 'Draw and Discard' Machine Learning",
+// PAPERS.md). k = 1 is the paper's single serial loop and the default
+// every EpollCrowdServer runs.
 //
-// The epoll engine's single applier thread is the last serialization
-// point on the checkin path: every other layer scales out, but all
-// updates still funnel through one thread, one WAL, one group-commit
-// clock. The draw-and-discard scheme removes that ceiling by design
-// rather than by sharding a shared model: the server keeps k
-// *independent* model instances, and
+// Each instance owns a core::Server, a ProtocolServer, a bounded
+// CheckinQueue, a ModelSnapshotBoard and (optionally) a durable store.
+// Its applier drains the queue in arrival order, applies every frame
+// through the ProtocolServer (Routine 2: w <- Pi_W[w - eta g^]), group-
+// commits the batch (one fsync, then the commit hook — replication
+// shipping and quorum wait), republishes the board, and only then
+// releases the acks, so acked => durable holds. With k > 1:
 //
 //   draw     a checkout serves a uniformly drawn instance's snapshot
 //            (each instance keeps its own pre-encoded Params frame on
 //            its own ModelSnapshotBoard — still lock-free);
 //   update   a checkin routes to a uniformly drawn instance's
-//            CheckinQueue and is applied by that instance's applier
-//            thread (w_i <- Pi_W[w_i - eta g^], the usual Routine 2);
+//            CheckinQueue and is applied by that instance's applier;
 //   discard  the updated instance's parameters then overwrite a
 //            uniformly drawn victim instance, discarding the victim's
 //            previous values.
@@ -39,17 +41,18 @@
 // one update remain 1 and the stationary variance bound k·sigma^2/(2k-1)
 // is unaffected; see docs/PRIVACY.md "Draw-and-discard amplification".
 //
-// k = 1 degenerates exactly to the single-applier engine path: draws and
-// routes always pick instance 0, the discard victim is always the
-// updated instance itself (no overwrite is ever enqueued or logged), and
-// the WAL namespace is the base directory — byte-identical state, WAL,
-// and params frames (tests/multimodel_test.cpp proves it).
+// k = 1 does no draw-and-discard work at all: draws and routes always
+// pick instance 0 without touching the streams, acks are never decoded
+// for a discard draw, and the WAL namespace is the base directory —
+// byte-identical state, WAL, and params frames to a server with an
+// attached store (tests/multimodel_test.cpp proves it).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,14 +61,13 @@
 #include "core/protocol.hpp"
 #include "core/server.hpp"
 #include "engine/checkin_queue.hpp"
-#include "engine/epoll_server.hpp"
 #include "engine/snapshot_board.hpp"
 #include "net/auth.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "store/durable_store.hpp"
 
-namespace crowdml::multimodel {
+namespace crowdml::engine {
 
 /// The discard step on the wire/in the WAL: a full parameter image that
 /// replaces the victim instance's w. Serialized inside the
@@ -85,7 +87,7 @@ struct OverwriteRecord {
 };
 
 struct PoolOptions {
-  /// k. 1 reproduces the single-applier path bit for bit.
+  /// k. 1 is the paper's single serial applier.
   std::size_t instances = 1;
   /// Seed for the draw/route/discard streams (deterministic given call
   /// order; per-instance discard streams are split from it by instance).
@@ -100,20 +102,19 @@ struct PoolOptions {
   /// Template for each instance's store (the pool installs its own
   /// opaque_replay handler; group commit is always enabled).
   store::DurableStoreOptions store;
-  /// Called after instance `i`'s successful commit_group — the
-  /// replication shipper's notify/await chain hooks here. Returning
-  /// false nacks the batch (same contract as EngineConfig::group_commit).
+  /// Commit hook, called once per committed batch of instance `i`, after
+  /// the instance's own store (if any) committed. Replication shipping
+  /// and quorum waits hook here; returning false nacks every ok ack of
+  /// the batch ("durability failure"). Swappable at runtime through
+  /// ModelInstancePool::set_on_commit.
   std::function<bool(std::size_t instance)> on_commit;
-  /// Pace steering with k > 1 (docs/SCALING.md "Pace steering"): builds
-  /// instance `i`'s own Coordinator — k independent per-class clocks,
-  /// each fed only by its own applier's commits and queue depth, each
-  /// stamping consuming hints only on the checkin acks its instance
-  /// applied. The clock lives where the commits it measures happen; a
-  /// shared clock would meter k appliers' capacity through one bucket.
-  /// Null = steering off (ack bytes unchanged). With a factory set,
-  /// leave EngineConfig::coordinator null — checkout hints stay advisory
-  /// and classless shed hints fall back to the engine's fixed retry.
-  std::function<std::unique_ptr<coord::Coordinator>(std::size_t instance)>
+  /// Pace steering (docs/SCALING.md "Pace steering"): instance `i`'s
+  /// Coordinator — k independent per-class clocks, each fed only by its
+  /// own applier's commits and queue depth, each stamping consuming
+  /// hints only on the checkin acks its instance applied. The clock
+  /// lives where the commits it measures happen. Null = steering off
+  /// (ack bytes unchanged).
+  std::function<std::shared_ptr<coord::Coordinator>(std::size_t instance)>
       coordinator_factory;
   obs::MetricsRegistry* metrics = nullptr;  ///< null = default_registry()
   obs::TraceSink* trace = nullptr;          ///< null disables
@@ -132,12 +133,18 @@ class ModelInstancePool {
   /// unrecoverable per-instance state.
   ModelInstancePool(net::AuthRegistry& auth, const ServerFactory& factory,
                     PoolOptions options);
+  /// One instance over a caller-owned server. The caller owns its
+  /// durability (an attached store) and commits it through on_commit, so
+  /// options.instances must be 1 and options.wal_dir empty
+  /// (std::invalid_argument otherwise).
+  ModelInstancePool(net::AuthRegistry& auth, core::Server& server,
+                    PoolOptions options);
   ~ModelInstancePool();
 
   ModelInstancePool(const ModelInstancePool&) = delete;
   ModelInstancePool& operator=(const ModelInstancePool&) = delete;
 
-  /// Start the k applier threads (each publishes its board first).
+  /// Start the k applier threads. Idempotent.
   void start();
 
   /// Close every queue, drain (every admitted request still answers),
@@ -146,33 +153,44 @@ class ModelInstancePool {
 
   std::size_t instances() const { return slots_.size(); }
 
-  /// Uniform draw for a checkout — wire into EngineConfig::draw_snapshot.
-  /// Lock-free (atomic splitmix64 stream + atomic board load).
-  std::shared_ptr<const engine::ModelSnapshot> draw_snapshot();
+  /// Uniform draw for a checkout. Lock-free (atomic splitmix64 stream +
+  /// atomic board load); k = 1 always returns instance 0's snapshot.
+  std::shared_ptr<const ModelSnapshot> draw();
 
-  /// Install (or replace) the post-commit hook — see
-  /// PoolOptions::on_commit. Must be called before start(); the
-  /// replication PoolShipperSet wires its notify/quorum chain here.
-  void set_on_commit(std::function<bool(std::size_t)> hook) {
-    opts_.on_commit = std::move(hook);
+  /// Uniform routing for a checkin. False when the drawn instance's queue
+  /// is full or closed (the engine sheds with a retry_after nack).
+  bool route(CheckinWork&& work);
+
+  /// Replace the commit hook (see PoolOptions::on_commit); takes effect
+  /// from the next committed batch. Null removes it.
+  void set_on_commit(std::function<bool(std::size_t)> hook);
+
+  /// Board publication switch. While off, appliers apply and ack but
+  /// leave the boards alone: a follower's replication thread is then the
+  /// single publisher (via republish()). Turn it back on only after that
+  /// thread stopped publishing.
+  void set_publishing(bool on) {
+    publishing_.store(on, std::memory_order_release);
   }
-
-  /// Uniform routing for a checkin — wire into
-  /// EngineConfig::route_checkin. False when the drawn instance's queue
-  /// is full (the engine sheds with a retry_after nack).
-  bool route_checkin(engine::CheckinWork&& work);
+  /// Publish every instance's board from its server's current state.
+  void republish();
 
   core::Server& server(std::size_t i) { return *slots_[i]->server; }
   const core::Server& server(std::size_t i) const {
     return *slots_[i]->server;
   }
-  const engine::ModelSnapshotBoard& board(std::size_t i) const {
+  core::ProtocolServer& protocol(std::size_t i) { return slots_[i]->protocol; }
+  const core::ProtocolServer& protocol(std::size_t i) const {
+    return slots_[i]->protocol;
+  }
+  const ModelSnapshotBoard& board(std::size_t i) const {
     return slots_[i]->board;
   }
-  /// Null when the pool has no durability layer.
-  store::DurableStore* store(std::size_t i) {
-    return slots_[i]->store.get();
-  }
+  const CheckinQueue& queue(std::size_t i) const { return slots_[i]->queue; }
+  /// Checkins waiting across all instances.
+  std::size_t queue_depth() const;
+  /// Null when the pool owns no durability layer.
+  store::DurableStore* store(std::size_t i) { return slots_[i]->store.get(); }
   /// Instance i's pacing clock; null when no coordinator_factory was set.
   coord::Coordinator* coordinator(std::size_t i) {
     return slots_[i]->coordinator.get();
@@ -184,7 +202,11 @@ class ModelInstancePool {
   /// Every instance met its stopping criteria.
   bool stopped() const;
 
-  // Seeded-draw accounting (the distribution sanity tests).
+  /// Batches whose commit (store or hook) failed; their acks were nacked.
+  long long commit_failures() const { return commit_failures_.value(); }
+
+  // Seeded-draw accounting (the distribution sanity tests). Kept only
+  // when k > 1: a single instance draws nothing.
   std::vector<long long> draw_counts() const;     ///< checkout draws
   std::vector<long long> route_counts() const;    ///< checkin routes
   std::vector<long long> discard_counts() const;  ///< discard victims
@@ -198,14 +220,14 @@ class ModelInstancePool {
  private:
   struct Slot {
     std::size_t index = 0;
-    std::unique_ptr<core::Server> server;
-    std::unique_ptr<core::ProtocolServer> protocol;
-    engine::ModelSnapshotBoard board;
-    engine::CheckinQueue queue;
+    std::unique_ptr<core::Server> owned_server;
+    core::Server* server = nullptr;
+    core::ProtocolServer protocol;
+    ModelSnapshotBoard board;
+    CheckinQueue queue;
     std::unique_ptr<store::DurableStore> store;
     /// This instance's own pacing clock (null = steering off).
-    std::unique_ptr<coord::Coordinator> coordinator;
-    std::thread applier;
+    std::shared_ptr<coord::Coordinator> coordinator;
     /// Discard stream: deterministic per instance (seed split by index).
     std::uint64_t discard_state = 0;
     /// Overwrite records logged but not yet group-committed (applier
@@ -215,12 +237,22 @@ class ModelInstancePool {
     std::atomic<long long> draws{0};
     std::atomic<long long> routes{0};
     std::atomic<long long> discards{0};
+    std::thread applier;
 
-    Slot(std::size_t idx, std::unique_ptr<core::Server> srv,
-         net::AuthRegistry& auth, const PoolOptions& opts);
+    Slot(std::size_t idx, std::unique_ptr<core::Server> owned,
+         core::Server& srv, net::AuthRegistry& auth, const PoolOptions& opts);
   };
+  using CommitHook = std::function<bool(std::size_t)>;
 
+  /// Registers the instruments and seeds the streams; the public
+  /// constructors then add the instances.
+  explicit ModelInstancePool(PoolOptions options);
+  void add_slot(net::AuthRegistry& auth, std::unique_ptr<core::Server> owned,
+                core::Server& server);
   void applier_loop(Slot& slot);
+  /// Store commit, then the commit hook. True when both succeeded.
+  bool commit(Slot& slot);
+  void apply_overwrite(Slot& slot, const net::Bytes& record);
   /// Uniform instance index from the shared atomic stream.
   std::size_t draw_index(std::atomic<std::uint64_t>& state);
   /// True when `frame` is a checkin whose `response` is an ok ack — the
@@ -232,18 +264,20 @@ class ModelInstancePool {
   std::vector<std::unique_ptr<Slot>> slots_;
   std::atomic<std::uint64_t> draw_state_;
   std::atomic<std::uint64_t> route_state_;
+  std::atomic<bool> publishing_{true};
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
+  /// Copied per batch under commit_mu_ so set_on_commit can swap it
+  /// between commits (promotion).
+  std::mutex commit_mu_;
+  std::shared_ptr<const CommitHook> on_commit_;
 
   obs::Counter& overwrites_applied_;
   obs::Counter& overwrites_dropped_;
-  obs::Counter& checkins_applied_;
+  obs::Counter& commit_failures_;
+  obs::Histogram& batch_size_;
   obs::Histogram& handle_seconds_;
 };
-
-/// Wire the pool into an engine config: checkout draws, checkin routing,
-/// and the shutdown drain. The engine's own applier/board/queue idle.
-void wire_engine(ModelInstancePool& pool, engine::EngineConfig& config);
 
 /// Install the pool's overwrite-record replay handler on a store's
 /// options: opaque WAL records deserialize as OverwriteRecords and apply
@@ -252,4 +286,4 @@ void wire_engine(ModelInstancePool& pool, engine::EngineConfig& config);
 /// (replica::FollowerOptions::store) so recovery and live apply agree.
 void install_overwrite_replay(store::DurableStoreOptions& opts);
 
-}  // namespace crowdml::multimodel
+}  // namespace crowdml::engine

@@ -5,7 +5,7 @@
 
 namespace crowdml::multimodel {
 
-PoolShipperSet::PoolShipperSet(ModelInstancePool& pool, std::uint64_t epoch,
+PoolShipperSet::PoolShipperSet(engine::ModelInstancePool& pool, std::uint64_t epoch,
                                replica::ShipperOptions base)
     : pool_(pool) {
   const std::size_t k = pool.instances();
@@ -46,7 +46,7 @@ void PoolShipperSet::shutdown() {
 }
 
 PoolFollowerSet::PoolFollowerSet(
-    const ModelInstancePool::ServerFactory& factory, std::size_t instances,
+    const engine::ModelInstancePool::ServerFactory& factory, std::size_t instances,
     std::string dir, const std::string& leader_host,
     const std::vector<std::uint16_t>& leader_ports,
     replica::FollowerOptions base) {
@@ -65,7 +65,7 @@ PoolFollowerSet::PoolFollowerSet(
     // Distinct follower ids per stream so the leader's per-session
     // accounting never conflates two streams from one node.
     opts.follower_id = base.follower_id * 1000 + i;
-    install_overwrite_replay(opts.store);
+    engine::install_overwrite_replay(opts.store);
     // Elections are single-stream; a pool must fail over as a unit (see
     // header). Force the detector off regardless of the template.
     opts.detector = replica::FailureDetectorConfig{};

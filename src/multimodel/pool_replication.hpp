@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "multimodel/instance_pool.hpp"
+#include "engine/instance_pool.hpp"
 #include "replica/follower.hpp"
 #include "replica/log_shipper.hpp"
 
@@ -43,7 +43,7 @@ class PoolShipperSet {
   /// stream ephemerally, otherwise instance i binds base.port + i.
   /// Each shipper gets base.instance_id overwritten with its index.
   /// Throws std::runtime_error when any port cannot be bound.
-  PoolShipperSet(ModelInstancePool& pool, std::uint64_t epoch,
+  PoolShipperSet(engine::ModelInstancePool& pool, std::uint64_t epoch,
                  replica::ShipperOptions base);
   ~PoolShipperSet();
 
@@ -60,7 +60,7 @@ class PoolShipperSet {
   void shutdown();
 
  private:
-  ModelInstancePool& pool_;
+  engine::ModelInstancePool& pool_;
   std::vector<std::unique_ptr<replica::LogShipper>> shippers_;
 };
 
@@ -72,7 +72,7 @@ class PoolShipperSet {
 /// log positions.
 class PoolFollowerSet {
  public:
-  PoolFollowerSet(const ModelInstancePool::ServerFactory& factory,
+  PoolFollowerSet(const engine::ModelInstancePool::ServerFactory& factory,
                   std::size_t instances, std::string dir,
                   const std::string& leader_host,
                   const std::vector<std::uint16_t>& leader_ports,

@@ -37,7 +37,8 @@ ShardService::ShardService(ShardServiceConfig cfg, core::Server& server)
         "crowdml_shard_merge_staleness_updates",
         "Checkins this shard applied between a merge's pull and its "
         "apply — the delay tau of the stale merged update (PAPER.md IV)",
-        obs::Provenance::kSanitizedAggregate);
+        obs::Provenance::kSanitizedAggregate,
+        obs::exponential_bounds(1.0, 4.0, 10));
     staleness_ms_ = &cfg_.metrics->histogram(
         "crowdml_shard_merge_staleness_seconds",
         "Wall-clock age of the pulled state when its merge was applied",

@@ -142,7 +142,7 @@ TEST(EngineChaos, SixtyFourDevicesNoAckedCheckinLost) {
     proxy.shutdown();
     eng.shutdown();
     engine_net = eng.net_snapshot();
-    shed = eng.queue().shed();
+    shed = eng.pool().queue(0).shed();
     live_version = server.version();
     // No sync(), no orderly store teardown beyond the destructor: from
     // here on only what group commit already fsynced may count.

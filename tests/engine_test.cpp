@@ -1,8 +1,8 @@
 // Serving-engine tests: snapshot board publication, checkin queue
 // ordering and shedding, end-to-end crowd learning through the epoll
 // engine, retry_after admission-control hints, group-commit durability,
-// and bit-identical parity with the thread-per-connection runtime on a
-// deterministic (sequential) workload.
+// and bit-identical parity with direct ProtocolServer::handle dispatch
+// on a deterministic (sequential) workload.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -226,8 +226,8 @@ TEST(Engine, CrowdLearnsOverLocalhost) {
   EXPECT_EQ(server.devices_seen(), kDevices);
   EXPECT_EQ(server.rejected_checkins(), 0);
   EXPECT_GT(eng.checkouts_served(), 0);
-  EXPECT_EQ(eng.board().version(), server.version());
-  EXPECT_EQ(eng.queue().shed(), 0);  // never overloaded here
+  EXPECT_EQ(eng.pool().board(0).version(), server.version());
+  EXPECT_EQ(eng.pool().queue(0).shed(), 0);  // never overloaded here
 
   const double final_error = model.error_rate(server.parameters(), ds.test);
   EXPECT_LT(final_error, 0.2);
@@ -437,8 +437,10 @@ TEST(Engine, AckedCheckinsAreDurableAfterRecovery) {
 }
 
 TEST(Engine, GroupCommitFailureNacksWholeBatch) {
-  models::MulticlassLogisticRegression model(2, 4, 0.0);
-  core::Server server(server_config(model.param_dim(), 2), sgd(0.1),
+  // Shaped like small_dataset() (3 classes, 8 features): a smaller model
+  // would index the device's per-class counts out of bounds.
+  models::MulticlassLogisticRegression model(3, 8, 0.0);
+  core::Server server(server_config(model.param_dim(), 3), sgd(0.1),
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
   TempDir dir;
@@ -487,54 +489,74 @@ TEST(Engine, GroupCommitFailureNacksWholeBatch) {
 namespace {
 
 /// One deterministic sequential run: a single device, fixed seeds, same
-/// arrival order — through either serving engine. Returns final (w, t).
-std::pair<linalg::Vector, std::uint64_t> sequential_run(
-    bool use_epoll, const data::Dataset& ds) {
+/// arrival order. Through the epoll engine, or — the reference semantics
+/// — with every frame dispatched straight through
+/// ProtocolServer::handle on the device's thread. Returns final (w, t)
+/// and every response frame the device received.
+struct SequentialRun {
+  linalg::Vector w;
+  std::uint64_t version = 0;
+  std::vector<net::Bytes> responses;
+};
+
+SequentialRun sequential_run(bool use_epoll, const data::Dataset& ds) {
   models::MulticlassLogisticRegression model(3, 8, 0.0);
   core::Server server(server_config(model.param_dim(), 3), sgd(),
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
 
-  std::unique_ptr<core::TcpCrowdServer> threads_srv;
+  SequentialRun run;
   std::unique_ptr<engine::EpollCrowdServer> epoll_srv;
-  std::uint16_t port = 0;
+  std::unique_ptr<core::TcpDeviceSession> session;
+  core::ProtocolServer direct(server, registry, nullptr);
+  core::DeviceClient::Exchange transport;
   if (use_epoll) {
     epoll_srv = std::make_unique<engine::EpollCrowdServer>(
         server, registry, engine::EngineConfig{});
-    port = epoll_srv->port();
+    session = std::make_unique<core::TcpDeviceSession>("127.0.0.1",
+                                                       epoll_srv->port());
+    transport = session->as_exchange();
   } else {
-    threads_srv =
-        std::make_unique<core::TcpCrowdServer>(server, registry, 0);
-    port = threads_srv->port();
+    transport = [&direct](const net::Bytes& frame) {
+      return std::optional<net::Bytes>(direct.handle(frame));
+    };
   }
+  const core::DeviceClient::Exchange recording =
+      [&](const net::Bytes& frame) {
+        auto reply = transport(frame);
+        if (reply) run.responses.push_back(*reply);
+        return reply;
+      };
 
   core::DeviceConfig dc;
   dc.minibatch_size = 5;
   dc.budget = privacy::PrivacyBudget::gradient_dominated(20.0);
   core::Device dev(dc, model, rng::Engine(100));
   dev.set_credentials(registry.enroll());
-  core::TcpDeviceSession session("127.0.0.1", port);
-  core::DeviceClient client(dev, session.as_exchange());
+  core::DeviceClient client(dev, recording);
   for (int pass = 0; pass < 2; ++pass)
     for (const auto& s : ds.train) client.offer_sample(s);
 
-  if (threads_srv) threads_srv->shutdown();
   if (epoll_srv) epoll_srv->shutdown();
-  return {server.parameters(), server.version()};
+  run.w = server.parameters();
+  run.version = server.version();
+  return run;
 }
 
 }  // namespace
 
-// The tentpole compatibility guarantee: for the same arrival order the
-// epoll engine produces bit-identical results to the legacy runtime —
-// same update sequence, same snapshots served, same final parameters.
-TEST(EngineParity, BitIdenticalWithThreadsEngine) {
+// The engine's compatibility guarantee: for the same arrival order the
+// epoll engine produces bit-identical results to dispatching every frame
+// through ProtocolServer::handle — same update sequence, same params and
+// ack frames, same final parameters.
+TEST(EngineParity, BitIdenticalWithDirectDispatch) {
   const data::Dataset ds = small_dataset(250, 50);
-  const auto threads_result = sequential_run(false, ds);
-  const auto epoll_result = sequential_run(true, ds);
-  ASSERT_GT(threads_result.second, 0u);
-  EXPECT_EQ(threads_result.second, epoll_result.second);
-  EXPECT_EQ(threads_result.first, epoll_result.first);
+  const SequentialRun direct = sequential_run(false, ds);
+  const SequentialRun epoll = sequential_run(true, ds);
+  ASSERT_GT(direct.version, 0u);
+  EXPECT_EQ(direct.version, epoll.version);
+  EXPECT_EQ(direct.w, epoll.w);
+  EXPECT_EQ(direct.responses, epoll.responses);
 }
 
 // ----------------------------------------------------- retry_after codec

@@ -1,12 +1,16 @@
 #!/bin/sh
 # Crash-recovery integration test: SIGKILL crowdml-server mid-run, restart
 # it on the same port with the same --wal-dir, and assert that
-#   (a) the restarted server recovers past iteration 0 from snapshot + WAL,
+#   (a) the restarted server recovers every sample it had applied before
+#       the kill from snapshot + WAL (--fsync always: no acked checkin
+#       lost),
 #   (b) devices ride out the outage via ReconnectingDeviceSession,
-#   (c) training resumes and advances past the pre-crash iteration.
-# The whole scenario runs once per serving engine: the legacy
-# thread-per-connection runtime, and the epoll engine whose group commit
-# must uphold the same acked => durable contract under --fsync always.
+#   (c) training resumes past the recovered state.
+# The whole scenario runs once with one model instance (the single
+# applier) and once with a draw-and-discard pool of two, so a SIGKILL of
+# the applier goes through the real binary at both k. Samples, not
+# iterations, are compared: a pool's iteration also counts discard
+# overwrites, which carry no ack and may be lost uncommitted.
 # Run by ctest with the build directory as argument.
 set -eu
 BUILD_DIR="$1"
@@ -18,11 +22,17 @@ cd "$WORK"
 "$BUILD_DIR/tools/crowdml-make-dataset" --kind mnist --scale 0.05 --shards 2 \
     --shard-prefix dev_ --seed 42
 
+# Sum of the last $2 "samples reported:" lines of log $1 — one per
+# instance in the most recent portal report.
+samples() {
+  sed -n 's/^samples reported: *\([0-9]*\).*/\1/p' "$1" | tail -"$2" |
+      awk '{s+=$1} END {print s+0}'
+}
+
 run_scenario() {
-  ENGINE="$1"
-  FSYNC="$2"
-  EXTRA="$3"
-  DIR="run_$ENGINE"
+  K="$1"
+  EXTRA="$2"
+  DIR="run_k$K"
   mkdir "$DIR"
   cd "$DIR"
 
@@ -32,8 +42,8 @@ run_scenario() {
     # shellcheck disable=SC2086
     "$BUILD_DIR/tools/crowdml-server" --port "$1" --classes 10 --dim 50 \
         --enroll 2 --keys-out "$2" --auth-seed 7 \
-        --engine "$ENGINE" $EXTRA \
-        --wal-dir wal --fsync "$FSYNC" --report-every 0.3 \
+        --model-instances "$K" $EXTRA \
+        --wal-dir wal --fsync always --report-every 0.3 \
         --max-iterations 100000 >> "$3" 2>&1 &
     SERVER_PID=$!
   }
@@ -46,9 +56,9 @@ run_scenario() {
     [ -n "$PORT" ] && break
     sleep 0.1
   done
-  [ -n "$PORT" ] || { echo "[$ENGINE] server did not start"; cat server1.log; exit 1; }
-  grep -q "^config: engine=$ENGINE " server1.log || {
-    echo "[$ENGINE] missing effective-config line"; cat server1.log; exit 1; }
+  [ -n "$PORT" ] || { echo "[k=$K] server did not start"; cat server1.log; exit 1; }
+  grep -q "^config: .* model-instances=$K " server1.log || {
+    echo "[k=$K] missing effective-config line"; cat server1.log; exit 1; }
 
   # Devices with a generous retry budget: they must survive the restart
   # window (capped exponential backoff, checkins abandoned, never replayed).
@@ -68,12 +78,11 @@ run_scenario() {
   # Let training get going, then pull the plug without ceremony.
   PRE=0
   for i in $(seq 1 100); do
-    PRE=$(sed -n 's/^iteration t: *\([0-9]*\).*/\1/p' server1.log | tail -1)
-    [ -n "$PRE" ] && [ "$PRE" -ge 20 ] && break
-    PRE=0
+    PRE=$(samples server1.log "$K")
+    [ "$PRE" -ge 200 ] && break
     sleep 0.1
   done
-  [ "$PRE" -ge 20 ] || { echo "[$ENGINE] training never took off"; cat server1.log; exit 1; }
+  [ "$PRE" -ge 200 ] || { echo "[k=$K] training never took off"; cat server1.log; exit 1; }
   kill -9 $SERVER_PID
   wait $SERVER_PID 2>/dev/null || true
 
@@ -81,43 +90,43 @@ run_scenario() {
 
   RECOVERED=""
   for i in $(seq 1 50); do
-    RECOVERED=$(sed -n 's/^recovered state: iteration \([0-9]*\).*/\1/p' server2.log)
+    RECOVERED=$(sed -n 's/^recovered state: iteration [0-9]*, samples \([0-9]*\).*/\1/p' server2.log)
     [ -n "$RECOVERED" ] && break
     sleep 0.1
   done
-  [ -n "$RECOVERED" ] || { echo "[$ENGINE] no recovery line"; cat server2.log; exit 1; }
-  cmp -s keys.csv keys2.csv || { echo "[$ENGINE] re-enrolled keys differ"; exit 1; }
+  [ -n "$RECOVERED" ] || { echo "[k=$K] no recovery line"; cat server2.log; exit 1; }
+  cmp -s keys.csv keys2.csv || { echo "[k=$K] re-enrolled keys differ"; exit 1; }
 
   # The WAL must have carried training at least to the last report we saw
   # — with --fsync always this is exactly "no acked checkin lost".
   [ "$RECOVERED" -ge "$PRE" ] || {
-    echo "[$ENGINE] recovered iteration $RECOVERED behind last report $PRE"
+    echo "[k=$K] recovered $RECOVERED samples, behind last report's $PRE"
     cat server2.log; exit 1; }
 
-  wait $DEV1 || { echo "[$ENGINE] device 1 failed"; cat dev1.log; exit 1; }
-  wait $DEV2 || { echo "[$ENGINE] device 2 failed"; cat dev2.log; exit 1; }
+  wait $DEV1 || { echo "[k=$K] device 1 failed"; cat dev1.log; exit 1; }
+  wait $DEV2 || { echo "[k=$K] device 2 failed"; cat dev2.log; exit 1; }
   cat dev1.log dev2.log
 
   # At least one device had to reconnect across the crash window.
   RECONNECTS=$(sed -n 's/^transport: \([0-9]*\) reconnects.*/\1/p' dev1.log dev2.log |
       awk '{s+=$1} END {print s+0}')
-  [ "$RECONNECTS" -ge 1 ] || { echo "[$ENGINE] no device ever reconnected"; exit 1; }
+  [ "$RECONNECTS" -ge 1 ] || { echo "[k=$K] no device ever reconnected"; exit 1; }
 
   # Training resumed: the restarted server moved past the recovered state.
   kill -TERM $SERVER_PID
   wait $SERVER_PID 2>/dev/null || true
-  FINAL=$(sed -n 's/^iteration t: *\([0-9]*\).*/\1/p' server2.log | tail -1)
+  FINAL=$(samples server2.log "$K")
   [ -n "$FINAL" ] && [ "$FINAL" -gt "$RECOVERED" ] || {
-    echo "[$ENGINE] training did not resume (recovered $RECOVERED, final ${FINAL:-none})"
+    echo "[k=$K] training did not resume (recovered $RECOVERED, final ${FINAL:-none})"
     cat server2.log; exit 1; }
   grep -q "durable state compacted" server2.log || {
-    echo "[$ENGINE] no final compaction"; cat server2.log; exit 1; }
-  ls wal/snapshot-*.bin >/dev/null 2>&1 || { echo "[$ENGINE] no snapshot on disk"; exit 1; }
+    echo "[k=$K] no final compaction"; cat server2.log; exit 1; }
+  find wal -name 'snapshot-*.bin' | grep -q . || { echo "[k=$K] no snapshot on disk"; exit 1; }
 
-  echo "kill-restart [$ENGINE] OK (crashed at >=$PRE, recovered at $RECOVERED," \
+  echo "kill-restart [k=$K] OK (crashed at >=$PRE, recovered at $RECOVERED," \
        "finished at $FINAL, $RECONNECTS reconnects)"
   cd ..
 }
 
-run_scenario threads every-8 ""
-run_scenario epoll always "--io-threads 2 --checkin-queue-max 256"
+run_scenario 1 ""
+run_scenario 2 "--io-threads 2 --checkin-queue-max 256"

@@ -13,15 +13,18 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "coord/coordinator.hpp"
 #include "core/protocol.hpp"
 #include "core/server.hpp"
-#include "multimodel/instance_pool.hpp"
+#include "engine/instance_pool.hpp"
 #include "multimodel/pool_replication.hpp"
 #include "net/auth.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "opt/schedule.hpp"
 #include "store/durable_store.hpp"
 
@@ -62,7 +65,7 @@ std::unique_ptr<opt::Updater> sgd() {
 /// Per-instance server factory all pools in this file share: identical
 /// config, identical updater, rng split by instance — two pools built
 /// from it are byte-comparable instance by instance.
-multimodel::ModelInstancePool::ServerFactory factory() {
+engine::ModelInstancePool::ServerFactory factory() {
   return [](std::size_t i) {
     return std::make_unique<core::Server>(server_config(), sgd(),
                                           rng::Engine(7).split(i));
@@ -98,7 +101,7 @@ bool is_ok_ack(const net::Bytes& response) {
 
 /// Route every frame into the pool and wait until all are answered.
 /// Returns the number of ok acks.
-int feed_checkins(multimodel::ModelInstancePool& pool,
+int feed_checkins(engine::ModelInstancePool& pool,
                   const std::vector<net::Bytes>& frames) {
   std::atomic<int> answered{0};
   std::atomic<int> ok{0};
@@ -111,7 +114,7 @@ int feed_checkins(multimodel::ModelInstancePool& pool,
     };
     // The bounded queue only sheds under real overload; tests feed well
     // under the bound, so a failed push is a bug worth failing loudly.
-    EXPECT_TRUE(pool.route_checkin(std::move(work)));
+    EXPECT_TRUE(pool.route(std::move(work)));
   }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
@@ -176,11 +179,11 @@ TEST(MultiModel, KOneBitIdenticalToSingleApplierPath) {
   }
 
   // Pool with k = 1 over the same frames.
-  multimodel::PoolOptions popts;
+  engine::PoolOptions popts;
   popts.instances = 1;
   popts.wal_dir = pool_dir.path;
   {
-    multimodel::ModelInstancePool pool(auth, factory(), popts);
+    engine::ModelInstancePool pool(auth, factory(), popts);
     pool.start();
     EXPECT_EQ(feed_checkins(pool, frames), 40);
     pool.shutdown();
@@ -224,7 +227,7 @@ TEST(MultiModel, RecoveryBitReproduciblePerInstance) {
   rng::Engine eng(43);
   for (int i = 0; i < 60; ++i) frames.push_back(make_checkin(auth.enroll(), eng));
 
-  multimodel::PoolOptions popts;
+  engine::PoolOptions popts;
   popts.instances = 3;
   popts.seed = 9;
   popts.wal_dir = dir.path;
@@ -233,7 +236,7 @@ TEST(MultiModel, RecoveryBitReproduciblePerInstance) {
   std::vector<linalg::Vector> params;
   long long overwrites = 0;
   {
-    multimodel::ModelInstancePool pool(auth, factory(), popts);
+    engine::ModelInstancePool pool(auth, factory(), popts);
     pool.start();
     EXPECT_EQ(feed_checkins(pool, frames), 60);
     pool.shutdown();
@@ -250,7 +253,7 @@ TEST(MultiModel, RecoveryBitReproduciblePerInstance) {
 
   // A second pool over the same directory replays each instance's WAL
   // (checkins and overwrites, in apply order) to byte-equal state.
-  multimodel::ModelInstancePool recovered(auth, factory(), popts);
+  engine::ModelInstancePool recovered(auth, factory(), popts);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(recovered.server(i).version(), versions[i]) << "instance " << i;
     EXPECT_EQ(recovered.server(i).parameters(), params[i])
@@ -258,19 +261,95 @@ TEST(MultiModel, RecoveryBitReproduciblePerInstance) {
   }
 }
 
+// ------------------------------------------------ commit failures
+
+// With k > 1 a failed commit must be as loud as with one instance: every
+// ok ack of the batch becomes a durability nack, the engine's commit-
+// failure counter moves, and the trace says so.
+TEST(MultiModel, KTwoCommitFailureNacksAndIsCounted) {
+  net::AuthRegistry auth(rng::Engine(2));
+  std::vector<net::Bytes> frames;
+  rng::Engine eng(46);
+  for (int i = 0; i < 20; ++i) frames.push_back(make_checkin(auth.enroll(), eng));
+
+  obs::MetricsRegistry reg;
+  std::ostringstream trace_out;
+  obs::TraceSink trace(trace_out);
+  engine::PoolOptions popts;
+  popts.instances = 2;
+  popts.seed = 3;
+  popts.metrics = &reg;
+  popts.trace = &trace;
+  popts.on_commit = [](std::size_t) { return false; };  // a dead disk
+  engine::ModelInstancePool pool(auth, factory(), popts);
+  pool.start();
+  EXPECT_EQ(feed_checkins(pool, frames), 0);  // no ack claims durability
+  pool.shutdown();
+
+  EXPECT_EQ(pool.total_version(),
+            static_cast<std::uint64_t>(frames.size()) +
+                static_cast<std::uint64_t>(pool.overwrites_applied()));
+  EXPECT_GE(pool.commit_failures(), 1);
+  long long counted = -1;
+  for (const auto& row : reg.snapshot().counters)
+    if (row.name == "crowdml_engine_commit_failures_total") counted = row.value;
+  EXPECT_EQ(counted, pool.commit_failures());
+  trace.flush();
+  EXPECT_NE(trace_out.str().find("\"event\":\"group_commit_failed\""),
+            std::string::npos);
+}
+
+// Only appliers enqueue overwrite records. Client bytes that happen to
+// be a well-formed overwrite record are still a client frame: they go
+// through the protocol dispatcher (a malformed-frame nack) and never
+// replace any instance's parameters.
+TEST(InstancePool, ClientBytesNeverApplyAsOverwrite) {
+  net::AuthRegistry auth(rng::Engine(2));
+  obs::MetricsRegistry reg;  // counters of this pool alone
+  engine::PoolOptions popts;
+  popts.instances = 2;
+  popts.metrics = &reg;
+  engine::ModelInstancePool pool(auth, factory(), popts);
+  pool.start();
+
+  engine::OverwriteRecord forged;
+  forged.w = linalg::Vector(kDim, 7.0);
+  std::vector<net::Bytes> responses(8);
+  std::atomic<int> answered{0};
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    engine::CheckinWork work;
+    work.frame = forged.serialize();
+    work.complete = [&responses, &answered, i](net::Bytes&& r) {
+      responses[i] = std::move(r);
+      answered.fetch_add(1);
+    };
+    ASSERT_TRUE(pool.route(std::move(work)));
+  }
+  ASSERT_TRUE(wait_until([&] { return answered.load() == 8; }));
+  pool.shutdown();
+
+  for (const net::Bytes& response : responses) {
+    const net::Frame f = net::decode_frame(response);
+    ASSERT_EQ(f.type, net::MessageType::kAck);
+    EXPECT_FALSE(net::AckMessage::deserialize(f.payload).ok);
+  }
+  EXPECT_EQ(pool.overwrites_applied(), 0);
+  EXPECT_EQ(pool.total_version(), 0u);
+}
+
 // ------------------------------------------------ draw distributions
 
 TEST(InstancePool, DrawRouteAndDiscardRoughlyUniform) {
   net::AuthRegistry auth(rng::Engine(2));
-  multimodel::PoolOptions popts;
+  engine::PoolOptions popts;
   popts.instances = 4;
   popts.seed = 1234;
-  multimodel::ModelInstancePool pool(auth, factory(), popts);
+  engine::ModelInstancePool pool(auth, factory(), popts);
   pool.start();
 
   // Checkout draws: 4000 over 4 instances, mean 1000, sd ~27. A 700-1300
   // band is >10 sigma — flake-proof, but a stuck or biased stream fails.
-  for (int i = 0; i < 4000; ++i) pool.draw_snapshot();
+  for (int i = 0; i < 4000; ++i) pool.draw();
   for (long long c : pool.draw_counts()) {
     EXPECT_GT(c, 700);
     EXPECT_LT(c, 1300);
@@ -302,14 +381,14 @@ TEST(InstancePool, DrawRouteAndDiscardRoughlyUniform) {
 
 TEST(InstancePool, DrawStreamDeterministicGivenSeed) {
   net::AuthRegistry auth(rng::Engine(2));
-  multimodel::PoolOptions popts;
+  engine::PoolOptions popts;
   popts.instances = 4;
   popts.seed = 77;
 
   std::vector<long long> first;
   for (int round = 0; round < 2; ++round) {
-    multimodel::ModelInstancePool pool(auth, factory(), popts);
-    for (int i = 0; i < 1000; ++i) pool.draw_snapshot();
+    engine::ModelInstancePool pool(auth, factory(), popts);
+    for (int i = 0; i < 1000; ++i) pool.draw();
     if (round == 0)
       first = pool.draw_counts();
     else
@@ -321,14 +400,14 @@ TEST(InstancePool, DrawStreamDeterministicGivenSeed) {
 
 TEST(InstancePool, PerInstanceCoordinatorsStampCheckinHints) {
   net::AuthRegistry auth(rng::Engine(2));
-  multimodel::PoolOptions popts;
+  engine::PoolOptions popts;
   popts.instances = 3;
   popts.seed = 9;
   popts.coordinator_factory = [](std::size_t) {
     return std::make_unique<coord::Coordinator>(coord::CoordConfig{},
                                                 coord::DeviceClassTable{});
   };
-  multimodel::ModelInstancePool pool(auth, factory(), popts);
+  engine::ModelInstancePool pool(auth, factory(), popts);
   for (std::size_t i = 0; i < pool.instances(); ++i)
     ASSERT_NE(pool.coordinator(i), nullptr);
   pool.start();
@@ -346,7 +425,7 @@ TEST(InstancePool, PerInstanceCoordinatorsStampCheckinHints) {
       responses[static_cast<std::size_t>(i)] = std::move(response);
       answered.fetch_add(1);
     };
-    ASSERT_TRUE(pool.route_checkin(std::move(work)));
+    ASSERT_TRUE(pool.route(std::move(work)));
   }
   ASSERT_TRUE(wait_until([&] { return answered.load() == kFrames; }));
   pool.shutdown();
@@ -362,10 +441,10 @@ TEST(InstancePool, PerInstanceCoordinatorsStampCheckinHints) {
 
 TEST(InstancePool, NoCoordinatorFactoryLeavesAckBytesHintFree) {
   net::AuthRegistry auth(rng::Engine(2));
-  multimodel::PoolOptions popts;
+  engine::PoolOptions popts;
   popts.instances = 3;
   popts.seed = 9;
-  multimodel::ModelInstancePool pool(auth, factory(), popts);
+  engine::ModelInstancePool pool(auth, factory(), popts);
   for (std::size_t i = 0; i < pool.instances(); ++i)
     EXPECT_EQ(pool.coordinator(i), nullptr);
   pool.start();
@@ -380,7 +459,7 @@ TEST(InstancePool, NoCoordinatorFactoryLeavesAckBytesHintFree) {
       responses[static_cast<std::size_t>(i)] = std::move(response);
       answered.fetch_add(1);
     };
-    ASSERT_TRUE(pool.route_checkin(std::move(work)));
+    ASSERT_TRUE(pool.route(std::move(work)));
   }
   ASSERT_TRUE(wait_until([&] { return answered.load() == 10; }));
   pool.shutdown();
@@ -407,11 +486,11 @@ TEST(InstancePoolRepl, FollowerPoolReconstructsByteForByte) {
   rng::Engine eng(45);
   for (int i = 0; i < 40; ++i) frames.push_back(make_checkin(auth.enroll(), eng));
 
-  multimodel::PoolOptions popts;
+  engine::PoolOptions popts;
   popts.instances = 2;
   popts.seed = 5;
   popts.wal_dir = leader_dir.path;
-  multimodel::ModelInstancePool pool(auth, factory(), popts);
+  engine::ModelInstancePool pool(auth, factory(), popts);
 
   replica::ShipperOptions base;
   base.port = 0;  // every stream on its own ephemeral port

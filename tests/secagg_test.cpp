@@ -1001,10 +1001,15 @@ TEST(SecAggDropout, CohortOfEightRecoversFromTwoMidRoundDeaths) {
 
   // A dying device's exchange delivers checkout and assign frames but
   // drops its masked submission on the floor — death mid-round.
+  std::atomic<int> deaths{0};
   auto dying_exchange = [&]() -> core::DeviceClient::Exchange {
-    return [this_h = &h](const net::Bytes& req) -> std::optional<net::Bytes> {
+    return [this_h = &h,
+            &deaths](const net::Bytes& req) -> std::optional<net::Bytes> {
       const net::Frame f = net::decode_frame(req);
-      if (f.type == net::MessageType::kSecAggMasked) return std::nullopt;
+      if (f.type == net::MessageType::kSecAggMasked) {
+        ++deaths;
+        return std::nullopt;
+      }
       return this_h->protocol.handle(req);
     };
   };
@@ -1026,12 +1031,17 @@ TEST(SecAggDropout, CohortOfEightRecoversFromTwoMidRoundDeaths) {
   for (int i = 0; i < kDevices; ++i) samples.push_back(h.sample(eng));
 
   // Advance the manual clock exactly once, after all six survivors have
-  // submitted: the round deterministically moves to recovery, and the
-  // recovery deadline then never expires under the survivors.
+  // submitted and both dying devices have lost their blobs: the round
+  // deterministically moves to recovery, and the recovery deadline then
+  // never expires under the survivors.
   std::atomic<bool> stop{false};
   std::thread clock_driver([&] {
     while (!stop.load()) {
-      if (h.mgr->masked_checkins() >= kDevices - kDead) {
+      // Also wait for both deaths: a dying device still polling for its
+      // assignment when the round leaves collection is re-queued into a
+      // fresh cohort that never fills while the manual clock stands still.
+      if (h.mgr->masked_checkins() >= kDevices - kDead &&
+          deaths.load() >= kDead) {
         h.clock += h.cfg.round_timeout_ms + 1;
         return;
       }
@@ -1089,10 +1099,15 @@ TEST(SecAggDropout, AbortBelowMinSurvivorsFallsBackToClassic) {
     devices.back()->set_credentials(h.registry.enroll());
   }
 
+  std::atomic<int> deaths{0};
   auto dying_exchange = [&]() -> core::DeviceClient::Exchange {
-    return [this_h = &h](const net::Bytes& req) -> std::optional<net::Bytes> {
+    return [this_h = &h,
+            &deaths](const net::Bytes& req) -> std::optional<net::Bytes> {
       const net::Frame f = net::decode_frame(req);
-      if (f.type == net::MessageType::kSecAggMasked) return std::nullopt;
+      if (f.type == net::MessageType::kSecAggMasked) {
+        ++deaths;
+        return std::nullopt;
+      }
       return this_h->protocol.handle(req);
     };
   };
@@ -1118,7 +1133,11 @@ TEST(SecAggDropout, AbortBelowMinSurvivorsFallsBackToClassic) {
   std::atomic<bool> stop{false};
   std::thread clock_driver([&] {
     while (!stop.load()) {
-      if (h.mgr->masked_checkins() >= kDevices - kDead) {
+      // Also wait for both deaths: a dying device still polling for its
+      // assignment when the round leaves collection is re-queued into a
+      // fresh cohort that never fills while the manual clock stands still.
+      if (h.mgr->masked_checkins() >= kDevices - kDead &&
+          deaths.load() >= kDead) {
         h.clock += h.cfg.round_timeout_ms + 1;
         return;
       }

@@ -304,6 +304,55 @@ TEST(ShardService, MergePushAppliesOnceAndIsIdempotentPerRound) {
   EXPECT_EQ(svc.last_merge_round(), 2u);
 }
 
+// The merge staleness tau is a count of updates, so it gets count
+// buckets (1, 4, 16, ...): a tau of 8 and a tau of 100 land in distinct
+// finite buckets instead of piling up at the top of a seconds layout.
+TEST(ShardService, MergeStalenessHistogramUsesCountBuckets) {
+  core::Server server(server_config(4, 2), sgd(), rng::Engine(1));
+  obs::MetricsRegistry reg;
+  shard::ShardServiceConfig cfg;
+  cfg.key = test_key();
+  cfg.metrics = &reg;
+  shard::ShardService svc(cfg, server);
+
+  const auto merge_round = [&](std::uint64_t round, int checkins_between) {
+    net::ShardPullMessage pull;
+    pull.merge_round = round;
+    svc.handle_shard_pull(replica::seal_repl_payload(
+        cfg.key, net::MessageType::kShardPull, pull.serialize()));
+    apply_checkins(server, checkins_between, 1.0);
+    net::ShardMergePushMessage push;
+    push.merge_round = round;
+    push.q = shard::quantize_params(server.parameters());
+    const net::Bytes reply = svc.handle_shard_merge_push(
+        replica::seal_repl_payload(cfg.key, net::MessageType::kShardMergePush,
+                                   push.serialize()));
+    ASSERT_TRUE(
+        net::AckMessage::deserialize(net::decode_frame(reply).payload).ok);
+  };
+  merge_round(1, 8);
+  merge_round(2, 100);
+
+  obs::Histogram::Snapshot snap;
+  for (const auto& row : reg.snapshot().histograms)
+    if (row.name == "crowdml_shard_merge_staleness_updates") snap = row.data;
+  ASSERT_EQ(snap.count, 2);
+  EXPECT_DOUBLE_EQ(snap.sum, 108.0);
+  ASSERT_FALSE(snap.bounds.empty());
+  EXPECT_DOUBLE_EQ(snap.bounds.front(), 1.0);
+  const auto bucket_of = [&](double v) {
+    std::size_t i = 0;
+    while (i < snap.bounds.size() && v > snap.bounds[i]) ++i;
+    return i;
+  };
+  const std::size_t b8 = bucket_of(8.0);
+  const std::size_t b100 = bucket_of(100.0);
+  EXPECT_NE(b8, b100);
+  EXPECT_LT(b100, snap.bounds.size());  // a finite bucket, not +Inf
+  EXPECT_EQ(snap.buckets[b8], 1);
+  EXPECT_EQ(snap.buckets[b100], 1);
+}
+
 TEST(ShardService, DimensionMismatchRejectedWithoutStateChange) {
   core::Server server(server_config(4, 2), sgd(), rng::Engine(1));
   shard::ShardServiceConfig cfg;

@@ -1,92 +1,6 @@
 // crowdml-server — a standalone Crowd-ML parameter server over TCP.
 //
-// Usage:
-//   crowdml-server --port 9000 --classes 10 --dim 50
-//       [--lr 50] [--radius 500] [--updater sgd|adagrad|momentum|dualavg] \
-//       [--max-iterations N] [--target-error rho] \
-//       [--enroll N --keys-out keys.csv]      # pre-enroll N devices
-//       [--checkpoint state.bin]              # load + periodically save
-//       [--wal-dir DIR]                       # durable store: WAL + atomic
-//                                             # snapshots, recovered on start
-//       [--fsync always|never|every-N]        # WAL durability (default
-//                                             # every-64)
-//       [--segment-max-bytes BYTES]           # WAL segment rotation size
-//       [--force-fresh]                       # discard unreadable state
-//                                             # instead of refusing to start
-//       [--engine threads|epoll]              # serving engine (default
-//                                             # threads; see docs/SCALING.md)
-//       [--model-instances K]                 # draw-and-discard pool of K
-//                                             # model instances, each with
-//                                             # its own applier + WAL stream
-//                                             # (epoll only; K=1 is byte-
-//                                             # identical to the single-
-//                                             # applier path; docs/SCALING.md)
-//       [--io-threads N]                      # epoll engine: I/O loop pool
-//       [--checkin-queue-max N]               # epoll engine: admission bound
-//                                             # (full queue sheds with a
-//                                             # retry_after nack)
-//       [--coord-steering]                    # coordinator tier: every
-//                                             # checkout/ack carries a pace
-//                                             # hint (epoll leader only;
-//                                             # docs/SCALING.md)
-//       [--coord-classes fast:4,slow:2]       # device classes name:weight,
-//                                             # listed order = priority
-//       [--coord-target-utilization F]        # steer toward this fraction
-//                                             # of measured capacity (0.7)
-//       [--coord-min-hint-ms N]               # hint clamp floor (5)
-//       [--coord-max-hint-ms N]               # hint clamp ceiling (30000)
-//       [--coord-init-rate N]                 # assumed checkins/s before
-//                                             # the first measured commit
-//       [--secagg-cohort N]                   # secure-aggregation cohort
-//                                             # size (0/absent = off;
-//                                             # docs/PRIVACY.md)
-//       [--secagg-min-survivors N]            # abort threshold (default 2)
-//       [--secagg-round-timeout-ms N]         # collect/reveal deadline
-//                                             # (default 2000)
-//       [--shard-map h1:p1,h2:p2]             # sharded cluster: every
-//                                             # shard's device address, in
-//                                             # shard-id order (epoll
-//                                             # leader only; docs/SHARDING.md)
-//       [--shard-id N]                        # this process's index into
-//                                             # --shard-map
-//       [--shards N]                          # optional cross-check: must
-//                                             # equal the map size
-//       [--shard-merge-ms N]                  # drive cross-shard merges
-//                                             # every N ms (exactly one
-//                                             # process per cluster, by
-//                                             # convention shard 0; 0 = off)
-//       [--role leader|follower]              # replication role (default
-//                                             # leader; docs/REPLICATION.md)
-//       [--leader-addr host:port]             # follower: the leader's
-//                                             # replication port
-//       [--repl-port N]                       # leader: replication listener
-//       [--repl-ack none|async|quorum]        # leader: what an ack promises
-//       [--repl-followers N]                  # leader: configured replicas
-//                                             # (sizes the quorum)
-//       [--epoch-dir DIR]                     # fencing epoch register
-//                                             # (default: the wal dir)
-//       [--promote-on-start]                  # leader: bump the epoch
-//                                             # (manual promotion;
-//                                             # break-glass only)
-//       [--lease-ms N]                        # leader: heartbeat lease
-//       [--election-timeout-ms N]             # follower: failure detector
-//                                             # (0 = manual failover only)
-//       [--peers h1:p1,h2:p2]                 # follower: fellow followers'
-//                                             # vote endpoints
-//       [--vote-port N]                       # follower: vote listener
-//       [--max-read-lag N]                    # follower: nack checkouts
-//                                             # lagging > N records
-//       [--repl-key-file PATH]                # hex HMAC key authenticating
-//                                             # all Repl* frames
-//       [--advertise-host HOST]               # host peers/devices reach
-//                                             # this node on (redirects,
-//                                             # vote repl_addr); default
-//                                             # 127.0.0.1
-//       [--follower-id N]                     # follower: id in leader traces
-//       [--report-every SECONDS]              # portal report to stdout
-//       [--metrics-out metrics.prom]          # Prometheus text, rewritten
-//                                             # at every report interval
-//       [--trace-out trace.jsonl]             # protocol lifecycle events
+// Usage: see kUsage below (also printed when a flag name is unknown).
 //
 // With --wal-dir, every applied checkin is appended to a write-ahead log
 // before its ack leaves, and each report interval compacts the log into
@@ -113,10 +27,9 @@
 #include "coord/coordinator.hpp"
 #include "core/checkpoint.hpp"
 #include "core/monitor.hpp"
-#include "core/tcp_runtime.hpp"
 #include "engine/epoll_server.hpp"
+#include "engine/instance_pool.hpp"
 #include "models/logistic_regression.hpp"
-#include "multimodel/instance_pool.hpp"
 #include "multimodel/pool_replication.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -135,6 +48,95 @@
 using namespace crowdml;
 
 namespace {
+
+constexpr const char* kUsage = R"(usage:
+  crowdml-server --port 9000 --classes 10 --dim 50
+      [--lr 50] [--radius 500] [--updater sgd|adagrad|momentum|dualavg] \
+      [--max-iterations N] [--target-error rho] \
+      [--seed N]                            # server RNG seed (default 1)
+      [--enroll N --keys-out keys.csv]      # pre-enroll N devices
+      [--auth-seed N]                       # device-key RNG seed (default
+                                            # 2; fixed = same keys on restart)
+      [--checkpoint state.bin]              # load + periodically save
+      [--wal-dir DIR]                       # durable store: WAL + atomic
+                                            # snapshots, recovered on start
+      [--fsync always|never|every-N]        # WAL durability (default
+                                            # every-64)
+      [--segment-max-bytes BYTES]           # WAL segment rotation size
+      [--force-fresh]                       # discard unreadable state
+                                            # instead of refusing to start
+      [--model-instances K]                 # draw-and-discard pool of K
+                                            # model instances, each with
+                                            # its own applier + WAL stream
+                                            # (default 1: the paper's one
+                                            # serial applier; docs/SCALING.md)
+      [--io-threads N]                      # epoll I/O loop pool (default 1)
+      [--checkin-queue-max N]               # admission bound per instance
+                                            # (full queue sheds with a
+                                            # retry_after nack)
+      [--coord-steering]                    # coordinator tier: every
+                                            # checkout/ack carries a pace
+                                            # hint (leader only;
+                                            # docs/SCALING.md)
+      [--coord-classes fast:4,slow:2]       # device classes name:weight,
+                                            # listed order = priority
+      [--coord-target-utilization F]        # steer toward this fraction
+                                            # of measured capacity (0.7)
+      [--coord-min-hint-ms N]               # hint clamp floor (5)
+      [--coord-max-hint-ms N]               # hint clamp ceiling (30000)
+      [--coord-init-rate N]                 # assumed checkins/s before
+                                            # the first measured commit
+      [--secagg-cohort N]                   # secure-aggregation cohort
+                                            # size (0/absent = off;
+                                            # docs/PRIVACY.md)
+      [--secagg-min-survivors N]            # abort threshold (default 2)
+      [--secagg-round-timeout-ms N]         # collect/reveal deadline
+                                            # (default 2000)
+      [--shard-map h1:p1,h2:p2]             # sharded cluster: every
+                                            # shard's device address, in
+                                            # shard-id order (leader
+                                            # only; docs/SHARDING.md)
+      [--shard-id N]                        # this process's index into
+                                            # --shard-map
+      [--shards N]                          # optional cross-check: must
+                                            # equal the map size
+      [--shard-merge-ms N]                  # drive cross-shard merges
+                                            # every N ms (exactly one
+                                            # process per cluster, by
+                                            # convention shard 0; 0 = off)
+      [--role leader|follower]              # replication role (default
+                                            # leader; docs/REPLICATION.md)
+      [--leader-addr host:port]             # follower: the leader's
+                                            # replication port
+      [--repl-port N]                       # leader: replication listener
+      [--repl-ack none|async|quorum]        # leader: what an ack promises
+      [--repl-followers N]                  # leader: configured replicas
+                                            # (sizes the quorum)
+      [--epoch-dir DIR]                     # fencing epoch register
+                                            # (default: the wal dir)
+      [--promote-on-start]                  # leader: bump the epoch
+                                            # (manual promotion;
+                                            # break-glass only)
+      [--lease-ms N]                        # leader: heartbeat lease
+      [--election-timeout-ms N]             # follower: failure detector
+                                            # (0 = manual failover only)
+      [--peers h1:p1,h2:p2]                 # follower: fellow followers'
+                                            # vote endpoints
+      [--vote-port N]                       # follower: vote listener
+      [--max-read-lag N]                    # follower: nack checkouts
+                                            # lagging > N records
+      [--repl-key-file PATH]                # hex HMAC key authenticating
+                                            # all Repl* frames
+      [--advertise-host HOST]               # host peers/devices reach
+                                            # this node on (redirects,
+                                            # vote repl_addr); default
+                                            # 127.0.0.1
+      [--follower-id N]                     # follower: id in leader traces
+      [--report-every SECONDS]              # portal report to stdout
+      [--metrics-out metrics.prom]          # Prometheus text, rewritten
+                                            # at every report interval
+      [--trace-out trace.jsonl]             # protocol lifecycle events
+)";
 
 std::atomic<bool> g_stop{false};
 void handle_signal(int) { g_stop.store(true); }
@@ -209,6 +211,15 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // After the parsers, so a known flag in the wrong place gets its
+  // specific refusal; anything else is a typo (--wal_dir) that would
+  // otherwise run silently with the default.
+  if (const std::string unknown = flags.unknown_name(kUsage);
+      !unknown.empty()) {
+    std::fprintf(stderr, "crowdml-server: unknown flag --%s\n%s",
+                 unknown.c_str(), kUsage);
+    return 1;
+  }
   const bool is_follower = repl.role == "follower";
   const auto model_instances = static_cast<std::size_t>(
       std::max<long long>(1, flags.get_int("model-instances", 1)));
@@ -219,19 +230,12 @@ int main(int argc, char** argv) {
   const double lr = flags.get_double("lr", 50.0);
   const double radius = flags.get_double("radius", 500.0);
 
-  // Draw-and-discard pool constraints (docs/SCALING.md): the pool rides
-  // the epoll engine's hooks, a follower replicates per-instance streams
-  // via PoolFollowerSet (not yet wired into this binary; see ROADMAP.md),
-  // and the legacy single-model --checkpoint format cannot describe k
-  // instances (per-instance state lives in the WAL namespaces instead).
+  // Draw-and-discard pool constraints (docs/SCALING.md): a follower
+  // replicates per-instance streams via PoolFollowerSet (not yet wired
+  // into this binary; see ROADMAP.md), and the single-model --checkpoint
+  // format cannot describe k instances (per-instance state lives in the
+  // WAL namespaces instead).
   if (pooled) {
-    if (flags.get("engine", "threads") != "epoll") {
-      std::fprintf(stderr,
-                   "crowdml-server: --model-instances %zu requires --engine "
-                   "epoll\n",
-                   model_instances);
-      return 1;
-    }
     if (is_follower) {
       std::fprintf(stderr,
                    "crowdml-server: --model-instances > 1 with --role "
@@ -349,9 +353,10 @@ int main(int argc, char** argv) {
       durable = std::make_unique<store::DurableStore>(wal_dir, sopts);
       const auto info = durable->recover(srv);
       std::printf(
-          "recovered state: iteration %llu (snapshot v%llu%s, %llu wal "
-          "records replayed%s%s)\n",
+          "recovered state: iteration %llu, samples %lld (snapshot v%llu%s, "
+          "%llu wal records replayed%s%s)\n",
           static_cast<unsigned long long>(info.recovered_version),
+          srv.total_samples(),
           static_cast<unsigned long long>(info.snapshot_version),
           info.snapshot_loaded ? "" : " [none]",
           static_cast<unsigned long long>(info.records_replayed),
@@ -437,11 +442,10 @@ int main(int argc, char** argv) {
   }
 
   std::optional<coord::Coordinator> coordinator;
-  std::unique_ptr<core::TcpCrowdServer> tcp;
+  std::unique_ptr<engine::ModelInstancePool> pool;
   std::unique_ptr<engine::EpollCrowdServer> epoll;
   std::unique_ptr<replica::Follower> follower;
   std::unique_ptr<replica::LogShipper> shipper;
-  std::unique_ptr<multimodel::ModelInstancePool> pool;
   std::unique_ptr<multimodel::PoolShipperSet> shipper_set;
   // Sharding (docs/SHARDING.md): the merge-plane handler answers
   // ShardPull/ShardMergePush on this shard's applier thread; the
@@ -525,280 +529,252 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Serving engine: the legacy thread-per-connection runtime stays the
-  // default; --engine epoll selects the event-loop engine with snapshot
-  // checkouts and group-committed checkins (docs/SCALING.md).
-  const std::string engine_kind = flags.get("engine", "threads");
+  // Serving engine (docs/SCALING.md): epoll I/O loops in front of a pool
+  // of k appliers — the plain server below when k = 1, a draw-and-discard
+  // pool of k fresh instances otherwise.
   const auto io_threads =
       static_cast<std::size_t>(flags.get_int("io-threads", 1));
   const auto queue_max =
       static_cast<std::size_t>(flags.get_int("checkin-queue-max", 1024));
-  std::uint16_t bound_port = 0;
-  if (engine_kind == "epoll") {
-    if (repl.repl_enabled && !pooled) {
-      replica::ShipperOptions shopts;
-      shopts.port = repl.repl_port;
-      shopts.ack_mode = *replica::parse_repl_ack_mode(repl.ack_mode);
-      shopts.quorum_follower_acks = replica::quorum_follower_acks_for(
-          static_cast<std::size_t>(repl.followers));
-      shopts.trace = trace.get();
-      shopts.key = repl_key;
-      // Leases: heartbeat at a third of the lease so one lost frame
-      // never looks like a dead leader. The advertised redirect target
-      // needs the device port, known only post-bind — it is injected
-      // below via set_advertise_leader_addr once the engine is up.
-      shopts.lease_ms = static_cast<std::uint32_t>(repl.lease_ms);
-      shopts.heartbeat_interval_ms =
-          std::max(1, static_cast<int>(repl.lease_ms / 3));
+  // Steering and shipping settings shared by the single-model and pooled
+  // stacks (one coordinator clock / one replication stream per instance).
+  const auto coord_config = [&] {
+    coord::CoordConfig ccfg;
+    ccfg.steering.target_utilization = coordf.target_utilization;
+    ccfg.steering.init_rate_per_s = coordf.init_rate;
+    ccfg.steering.min_hint_ms = static_cast<std::uint32_t>(coordf.min_hint_ms);
+    ccfg.steering.max_hint_ms = static_cast<std::uint32_t>(coordf.max_hint_ms);
+    ccfg.steering.queue_max = queue_max;
+    ccfg.steering.batch_max = engine::PoolOptions{}.checkin_batch_max;
+    // Round-deadline awareness: never steer a device past half the
+    // secagg round timeout, or paced devices would miss their cohort
+    // deadlines and drag every round into recovery.
+    if (secf.enabled)
+      ccfg.steering.deadline_ceiling_ms = static_cast<std::uint32_t>(
+          std::max<long long>(1, secf.round_timeout_ms / 2));
+    ccfg.metrics = &obs::default_registry();
+    return ccfg;
+  };
+  const auto shipper_options = [&] {
+    replica::ShipperOptions shopts;
+    shopts.port = repl.repl_port;
+    shopts.ack_mode = *replica::parse_repl_ack_mode(repl.ack_mode);
+    shopts.quorum_follower_acks = replica::quorum_follower_acks_for(
+        static_cast<std::size_t>(repl.followers));
+    shopts.trace = trace.get();
+    shopts.key = repl_key;
+    // Leases: heartbeat at a third of the lease so one lost frame never
+    // looks like a dead leader. The advertised redirect target needs the
+    // device port, known only post-bind — it is injected below via
+    // set_advertise_leader_addr once the engine is up.
+    shopts.lease_ms = static_cast<std::uint32_t>(repl.lease_ms);
+    shopts.heartbeat_interval_ms =
+        std::max(1, static_cast<int>(repl.lease_ms / 3));
+    return shopts;
+  };
+  // One fsync per drained batch instead of one per checkin; acks are held
+  // until the batch commit succeeds, so acked => durable holds. With a
+  // quorum shipper, acks additionally wait for a majority of followers to
+  // durably append the batch (acked => replicated).
+  const auto commit_and_ship = [](store::DurableStore* d,
+                                  replica::LogShipper* s) {
+    return [d, s] {
+      if (!d->commit_group()) return false;
+      if (!s) return true;
+      s->notify_committed();
+      return s->await_quorum(d->wal().last_seq());
+    };
+  };
+
+  if (pooled) {
+    // Draw-and-discard pool: k servers, k appliers, k WAL namespaces
+    // under --wal-dir. Construction recovers every instance before the
+    // engine binds — same no-traffic-before-recovery rule as above.
+    const auto updater_kind = flags.get("updater", "sgd");
+    const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    const auto factory = [&](std::size_t i) {
+      return std::make_unique<core::Server>(
+          cfg, make_updater(updater_kind, lr, radius),
+          rng::Engine(seed).split(i));
+    };
+    engine::PoolOptions popts;
+    popts.instances = model_instances;
+    popts.seed = seed;
+    popts.checkin_queue_max = queue_max;
+    popts.wal_dir = wal_dir;
+    popts.store = sopts;
+    popts.metrics = &obs::default_registry();
+    popts.trace = trace.get();
+    if (coordf.enabled) {
+      // One Coordinator per instance, owned by the applier whose commits
+      // it measures. The engine-level coordinator stays null (checkout
+      // hints are advisory; the consuming checkin-ack hints are the
+      // load-bearing pacing mechanism).
+      const coord::CoordConfig ccfg = coord_config();
+      const coord::DeviceClassTable coord_classes = coordf.classes;
+      popts.coordinator_factory = [ccfg, coord_classes](std::size_t) {
+        return std::make_shared<coord::Coordinator>(ccfg, coord_classes);
+      };
+    }
+    try {
+      pool = std::make_unique<engine::ModelInstancePool>(registry, factory,
+                                                         popts);
+    } catch (const store::WalError& e) {
+      std::fprintf(stderr,
+                   "crowdml-server: pool recovery from %s failed (%s); "
+                   "set the corrupt instance directory aside and "
+                   "restart\n",
+                   wal_dir.c_str(), e.what());
+      return 1;
+    }
+    if (!wal_dir.empty()) {
+      long long samples = 0;
+      for (std::size_t i = 0; i < pool->instances(); ++i) {
+        samples += pool->server(i).total_samples();
+        std::printf(
+            "instance %zu: recovered iteration %llu (%llu wal records "
+            "replayed)\n",
+            i, static_cast<unsigned long long>(pool->server(i).version()),
+            static_cast<unsigned long long>(
+                pool->store(i)->recovery_info().records_replayed));
+      }
+      std::printf("recovered state: iteration %llu, samples %lld (%zu "
+                  "instances)\n",
+                  static_cast<unsigned long long>(pool->total_version()),
+                  samples, pool->instances());
+    }
+    if (repl.repl_enabled) {
       try {
-        shipper = std::make_unique<replica::LogShipper>(server, *durable,
-                                                        repl_epoch, shopts);
+        // One stream per instance on repl_port..repl_port+k-1, each
+        // tagged with its instance id; installs the pool's on_commit
+        // notify/quorum chain before the engine starts the appliers.
+        shipper_set = std::make_unique<multimodel::PoolShipperSet>(
+            *pool, repl_epoch, shipper_options());
       } catch (const std::exception& e) {
         std::fprintf(stderr, "crowdml-server: %s\n", e.what());
         return 1;
       }
       std::printf(
-          "replication: shipping on 127.0.0.1:%u (epoch %llu, ack=%s, "
-          "quorum=%zu of %lld followers)\n",
-          shipper->port(), static_cast<unsigned long long>(repl_epoch),
-          repl.ack_mode.c_str(), shopts.quorum_follower_acks, repl.followers);
+          "replication: shipping %zu instance streams on "
+          "127.0.0.1:%u..%u (epoch %llu, ack=%s)\n",
+          pool->instances(), shipper_set->port(0),
+          shipper_set->port(pool->instances() - 1),
+          static_cast<unsigned long long>(repl_epoch), repl.ack_mode.c_str());
     }
-    if (pooled) {
-      // Draw-and-discard pool: k servers, k appliers, k WAL namespaces
-      // under --wal-dir. Construction recovers every instance before the
-      // engine binds — same no-traffic-before-recovery rule as above.
-      const auto updater_kind = flags.get("updater", "sgd");
-      const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-      const auto factory = [&](std::size_t i) {
-        return std::make_unique<core::Server>(
-            cfg, make_updater(updater_kind, lr, radius),
-            rng::Engine(seed).split(i));
-      };
-      multimodel::PoolOptions popts;
-      popts.instances = model_instances;
-      popts.seed = seed;
-      popts.checkin_queue_max = queue_max;
-      popts.wal_dir = wal_dir;
-      popts.store = sopts;
-      popts.metrics = &obs::default_registry();
-      popts.trace = trace.get();
-      if (coordf.enabled) {
-        // Pooled steering: one Coordinator per instance, owned by the
-        // applier whose commits it measures. The engine-level coordinator
-        // hook stays null (checkout hints are advisory; the consuming
-        // checkin-ack hints are the load-bearing pacing mechanism).
-        coord::CoordConfig ccfg;
-        ccfg.steering.target_utilization = coordf.target_utilization;
-        ccfg.steering.init_rate_per_s = coordf.init_rate;
-        ccfg.steering.min_hint_ms =
-            static_cast<std::uint32_t>(coordf.min_hint_ms);
-        ccfg.steering.max_hint_ms =
-            static_cast<std::uint32_t>(coordf.max_hint_ms);
-        ccfg.steering.queue_max = queue_max;
-        ccfg.steering.batch_max = engine::EngineConfig{}.checkin_batch_max;
-        if (secf.enabled)
-          ccfg.steering.deadline_ceiling_ms = static_cast<std::uint32_t>(
-              std::max<long long>(1, secf.round_timeout_ms / 2));
-        ccfg.metrics = &obs::default_registry();
-        const coord::DeviceClassTable coord_classes = coordf.classes;
-        popts.coordinator_factory = [ccfg, coord_classes](std::size_t) {
-          return std::make_unique<coord::Coordinator>(ccfg, coord_classes);
-        };
-      }
-      try {
-        pool = std::make_unique<multimodel::ModelInstancePool>(
-            registry, factory, popts);
-      } catch (const store::WalError& e) {
-        std::fprintf(stderr,
-                     "crowdml-server: pool recovery from %s failed (%s); "
-                     "set the corrupt instance directory aside and "
-                     "restart\n",
-                     wal_dir.c_str(), e.what());
-        return 1;
-      }
-      if (!wal_dir.empty())
-        for (std::size_t i = 0; i < pool->instances(); ++i)
-          std::printf(
-              "instance %zu: recovered iteration %llu (%llu wal records "
-              "replayed)\n",
-              i,
-              static_cast<unsigned long long>(pool->server(i).version()),
-              static_cast<unsigned long long>(
-                  pool->store(i)->recovery_info().records_replayed));
-      if (repl.repl_enabled) {
-        replica::ShipperOptions shopts;
-        shopts.port = repl.repl_port;
-        shopts.ack_mode = *replica::parse_repl_ack_mode(repl.ack_mode);
-        shopts.quorum_follower_acks = replica::quorum_follower_acks_for(
-            static_cast<std::size_t>(repl.followers));
-        shopts.trace = trace.get();
-        shopts.key = repl_key;
-        shopts.lease_ms = static_cast<std::uint32_t>(repl.lease_ms);
-        shopts.heartbeat_interval_ms =
-            std::max(1, static_cast<int>(repl.lease_ms / 3));
-        try {
-          // One stream per instance on repl_port..repl_port+k-1, each
-          // tagged with its instance id; installs the pool's on_commit
-          // notify/quorum chain, so it must precede pool->start().
-          shipper_set = std::make_unique<multimodel::PoolShipperSet>(
-              *pool, repl_epoch, shopts);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "crowdml-server: %s\n", e.what());
-          return 1;
-        }
-        std::printf(
-            "replication: shipping %zu instance streams on "
-            "127.0.0.1:%u..%u (epoch %llu, ack=%s)\n",
-            pool->instances(), shipper_set->port(0),
-            shipper_set->port(pool->instances() - 1),
-            static_cast<unsigned long long>(repl_epoch),
-            repl.ack_mode.c_str());
-      }
-      pool->start();
+  } else if (repl.repl_enabled) {
+    const replica::ShipperOptions shopts = shipper_options();
+    try {
+      shipper = std::make_unique<replica::LogShipper>(server, *durable,
+                                                      repl_epoch, shopts);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "crowdml-server: %s\n", e.what());
+      return 1;
     }
-    engine::EngineConfig ecfg;
-    ecfg.port = port;
-    ecfg.io_threads = io_threads;
-    ecfg.checkin_queue_max = queue_max;
-    ecfg.metrics = &obs::default_registry();
-    ecfg.trace = trace.get();
-    if (coordf.enabled && !pool) {
-      coord::CoordConfig ccfg;
-      ccfg.steering.target_utilization = coordf.target_utilization;
-      ccfg.steering.init_rate_per_s = coordf.init_rate;
-      ccfg.steering.min_hint_ms =
-          static_cast<std::uint32_t>(coordf.min_hint_ms);
-      ccfg.steering.max_hint_ms =
-          static_cast<std::uint32_t>(coordf.max_hint_ms);
-      ccfg.steering.queue_max = queue_max;
-      ccfg.steering.batch_max = ecfg.checkin_batch_max;
-      // Round-deadline awareness: never steer a device past half the
-      // secagg round timeout, or paced devices would miss their cohort
-      // deadlines and drag every round into recovery.
-      if (secf.enabled)
-        ccfg.steering.deadline_ceiling_ms = static_cast<std::uint32_t>(
-            std::max<long long>(1, secf.round_timeout_ms / 2));
-      ccfg.metrics = &obs::default_registry();
-      coordinator.emplace(ccfg, coordf.classes);
-      ecfg.coordinator = &*coordinator;
-    }
-    ecfg.secagg = cohort.get();
-    if (shardf.enabled) {
-      // Merge plane: this shard answers ShardPull/ShardMergePush (sealed
-      // with the replication key) on its applier thread; a merge
-      // overwrite is WAL'd as a MergeRecord and group-committed exactly
-      // like a checkin batch.
-      shard::ShardServiceConfig scfg;
-      scfg.shard_id = shardf.shard_id;
-      scfg.key = repl_key;
-      scfg.store = durable.get();
-      scfg.metrics = &obs::default_registry();
-      scfg.trace = trace.get();
-      shard_service = std::make_unique<shard::ShardService>(scfg, server);
-      ecfg.shard = shard_service.get();
-      if (shardf.map.size() > 1) {
-        // Device partitioning: checkins for a device this shard does not
-        // own are nacked pre-application with "wrong shard; shard=<addr>"
-        // so the session replays at the owner. With one shard the hook
-        // stays null and every frame is byte-identical to unsharded.
-        const shard::ShardMap map = shardf.map;
-        const std::size_t self = shardf.shard_id;
-        ecfg.shard_route =
-            [map, self](std::uint64_t device_id) -> std::optional<std::string> {
-          const std::size_t owner = map.shard_of(device_id);
-          if (owner == self) return std::nullopt;
-          return map.addr(owner);
-        };
-      }
-    }
-    if (pool) multimodel::wire_engine(*pool, ecfg);
-    if (is_follower) {
-      ecfg.checkin_redirect = repl.leader_addr;
-      if (repl.max_read_lag > 0) {
-        // Bounded-staleness reads: checkouts on a replica lagging more
-        // than this many records behind the leader's committed watermark
-        // are nacked with a retry hint instead of served stale.
-        replica::Follower* f = follower.get();
-        ecfg.read_lag = [f] { return f->read_lag(); };
-        ecfg.max_read_lag = static_cast<std::uint64_t>(repl.max_read_lag);
-      }
-    }
-    if (durable) {
-      // One fsync per drained batch instead of one per checkin; acks are
-      // held until the batch commit succeeds, so acked => durable holds.
-      // With a quorum shipper, acks additionally wait for a majority of
-      // followers to durably append the batch (acked => replicated).
-      durable->set_group_commit(true);
-      store::DurableStore* d = durable.get();
-      replica::LogShipper* s = shipper.get();
-      ecfg.group_commit = [d, s] {
-        if (!d->commit_group()) return false;
-        if (!s) return true;
-        s->notify_committed();
-        return s->await_quorum(d->wal().last_seq());
+    std::printf(
+        "replication: shipping on 127.0.0.1:%u (epoch %llu, ack=%s, "
+        "quorum=%zu of %lld followers)\n",
+        shipper->port(), static_cast<unsigned long long>(repl_epoch),
+        repl.ack_mode.c_str(), shopts.quorum_follower_acks, repl.followers);
+  }
+
+  engine::EngineConfig ecfg;
+  ecfg.port = port;
+  ecfg.io_threads = io_threads;
+  ecfg.checkin_queue_max = queue_max;
+  ecfg.metrics = &obs::default_registry();
+  ecfg.trace = trace.get();
+  if (coordf.enabled && !pool) {
+    coordinator.emplace(coord_config(), coordf.classes);
+    ecfg.coordinator = &*coordinator;
+  }
+  ecfg.secagg = cohort.get();
+  if (shardf.enabled) {
+    // Merge plane: this shard answers ShardPull/ShardMergePush (sealed
+    // with the replication key) on its applier thread; a merge
+    // overwrite is WAL'd as a MergeRecord and group-committed exactly
+    // like a checkin batch.
+    shard::ShardServiceConfig scfg;
+    scfg.shard_id = shardf.shard_id;
+    scfg.key = repl_key;
+    scfg.store = durable.get();
+    scfg.metrics = &obs::default_registry();
+    scfg.trace = trace.get();
+    shard_service = std::make_unique<shard::ShardService>(scfg, server);
+    ecfg.shard = shard_service.get();
+    if (shardf.map.size() > 1) {
+      // Device partitioning: checkins for a device this shard does not
+      // own are nacked pre-application with "wrong shard; shard=<addr>"
+      // so the session replays at the owner. With one shard the hook
+      // stays null and every frame is byte-identical to unsharded.
+      const shard::ShardMap map = shardf.map;
+      const std::size_t self = shardf.shard_id;
+      ecfg.shard_route =
+          [map, self](std::uint64_t device_id) -> std::optional<std::string> {
+        const std::size_t owner = map.shard_of(device_id);
+        if (owner == self) return std::nullopt;
+        return map.addr(owner);
       };
     }
-    // A pool's engine still needs a core::Server for its (idle) board;
-    // instance 0 stands in — checkouts and checkins never touch it once
-    // the pool hooks are wired.
-    epoll = std::make_unique<engine::EpollCrowdServer>(
-        pool ? pool->server(0) : server, registry, ecfg);
-    bound_port = epoll->port();
-    if (shipper)
-      shipper->set_advertise_leader_addr(repl.advertise_host + ":" +
-                                         std::to_string(bound_port));
-    if (shipper_set)
-      for (std::size_t i = 0; i < shipper_set->size(); ++i)
-        shipper_set->shipper(i).set_advertise_leader_addr(
-            repl.advertise_host + ":" + std::to_string(bound_port));
-    if (follower) {
-      follower->set_device_addr(repl.advertise_host + ":" +
-                                std::to_string(bound_port));
-      follower->start();
-      if (repl.election_timeout_ms > 0)
-        std::printf(
-            "failover: election timeout %lldms, vote listener on "
-            "127.0.0.1:%u, %zu peer(s)\n",
-            repl.election_timeout_ms, follower->vote_port(), peers.size());
+  }
+  if (is_follower) {
+    ecfg.checkin_redirect = repl.leader_addr;
+    if (repl.max_read_lag > 0) {
+      // Bounded-staleness reads: checkouts on a replica lagging more
+      // than this many records behind the leader's committed watermark
+      // are nacked with a retry hint instead of served stale.
+      replica::Follower* f = follower.get();
+      ecfg.read_lag = [f] { return f->read_lag(); };
+      ecfg.max_read_lag = static_cast<std::uint64_t>(repl.max_read_lag);
     }
-    if (shardf.enabled && shardf.merge_ms > 0) {
-      // Cross-shard merge driver. Exactly one process per cluster should
-      // set --shard-merge-ms > 0 (by convention shard 0); every other
-      // shard leaves it at 0 and only answers the merge plane.
-      shard::MergeDirectorConfig dcfg;
-      dcfg.map = shardf.map;
-      dcfg.key = repl_key;
-      dcfg.interval_ms = static_cast<std::uint32_t>(shardf.merge_ms);
-      dcfg.metrics = &obs::default_registry();
-      dcfg.trace = trace.get();
-      merge_director = std::make_unique<shard::MergeDirector>(dcfg);
-      merge_director->start();
-      std::printf("shard merge director: %zu shard(s), every %lldms\n",
-                  shardf.map.size(), shardf.merge_ms);
-    }
-  } else if (engine_kind == "threads") {
-    core::TcpServerConfig tcp_cfg;
-    tcp_cfg.port = port;
-    tcp_cfg.metrics = &obs::default_registry();
-    tcp_cfg.trace = trace.get();
-    tcp_cfg.secagg = cohort.get();
-    tcp = std::make_unique<core::TcpCrowdServer>(server, registry, tcp_cfg);
-    bound_port = tcp->port();
-  } else {
-    std::fprintf(stderr,
-                 "crowdml-server: unknown --engine %s (threads|epoll)\n",
-                 engine_kind.c_str());
-    return 1;
+  }
+  if (durable) {
+    durable->set_group_commit(true);
+    ecfg.group_commit = commit_and_ship(durable.get(), shipper.get());
+  }
+  epoll = pool ? std::make_unique<engine::EpollCrowdServer>(*pool, registry,
+                                                            ecfg)
+               : std::make_unique<engine::EpollCrowdServer>(server, registry,
+                                                            ecfg);
+  const std::uint16_t bound_port = epoll->port();
+  const std::string device_addr =
+      repl.advertise_host + ":" + std::to_string(bound_port);
+  if (shipper) shipper->set_advertise_leader_addr(device_addr);
+  if (shipper_set)
+    for (std::size_t i = 0; i < shipper_set->size(); ++i)
+      shipper_set->shipper(i).set_advertise_leader_addr(device_addr);
+  if (follower) {
+    follower->set_device_addr(device_addr);
+    follower->start();
+    if (repl.election_timeout_ms > 0)
+      std::printf(
+          "failover: election timeout %lldms, vote listener on "
+          "127.0.0.1:%u, %zu peer(s)\n",
+          repl.election_timeout_ms, follower->vote_port(), peers.size());
+  }
+  if (shardf.enabled && shardf.merge_ms > 0) {
+    // Cross-shard merge driver. Exactly one process per cluster should
+    // set --shard-merge-ms > 0 (by convention shard 0); every other
+    // shard leaves it at 0 and only answers the merge plane.
+    shard::MergeDirectorConfig dcfg;
+    dcfg.map = shardf.map;
+    dcfg.key = repl_key;
+    dcfg.interval_ms = static_cast<std::uint32_t>(shardf.merge_ms);
+    dcfg.metrics = &obs::default_registry();
+    dcfg.trace = trace.get();
+    merge_director = std::make_unique<shard::MergeDirector>(dcfg);
+    merge_director->start();
+    std::printf("shard merge director: %zu shard(s), every %lldms\n",
+                shardf.map.size(), shardf.merge_ms);
   }
   // The effective configuration, once, so a log file pins down exactly
   // what this process is running with (flags have defaults; the port may
   // have been ephemeral).
   std::printf(
-      "config: engine=%s role=%s port=%u dim=%zu classes=%zu updater=%s lr=%g "
+      "config: role=%s port=%u dim=%zu classes=%zu updater=%s lr=%g "
       "radius=%g max-iterations=%lld target-error=%g wal=%s fsync=%s "
       "io-threads=%zu checkin-queue-max=%zu model-instances=%zu "
       "report-every=%gs\n",
-      engine_kind.c_str(), repl.role.c_str(), bound_port, dim, classes,
+      repl.role.c_str(), bound_port, dim, classes,
       flags.get("updater", "sgd").c_str(), lr, radius,
       static_cast<long long>(cfg.max_iterations), cfg.target_error,
       wal_dir.empty() ? "(none)" : wal_dir.c_str(),
@@ -874,8 +850,7 @@ int main(int argc, char** argv) {
           std::max<long long>(1, repl.election_timeout_ms / 2));
       shopts.heartbeat_interval_ms = std::max(
           1, static_cast<int>(repl.election_timeout_ms / 6));
-      shopts.advertise_leader_addr =
-          repl.advertise_host + ":" + std::to_string(bound_port);
+      shopts.advertise_leader_addr = device_addr;
       try {
         shipper = std::make_unique<replica::LogShipper>(server, fstore,
                                                         won_epoch, shopts);
@@ -886,13 +861,7 @@ int main(int argc, char** argv) {
                      new_repl_port, e.what());
         break;
       }
-      store::DurableStore* fs = &fstore;
-      replica::LogShipper* ns = shipper.get();
-      epoll->set_group_commit([fs, ns] {
-        if (!fs->commit_group()) return false;
-        ns->notify_committed();
-        return ns->await_quorum(fs->wal().last_seq());
-      });
+      epoll->set_group_commit(commit_and_ship(&fstore, shipper.get()));
       epoll->republish();
       epoll->set_checkin_redirect("");
       std::printf(
@@ -987,14 +956,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     merge_director->rounds_skipped()));
   }
-  if (tcp) tcp->shutdown();
-  // For a pool the engine's shutdown_drain drains every instance queue
-  // while the event loops are still alive, then pool appliers join.
-  if (epoll) epoll->shutdown();
+  // Drains every instance queue while the event loops are still alive,
+  // then joins the appliers.
+  epoll->shutdown();
   if (pool) {
     for (std::size_t i = 0; i < pool->instances(); ++i) {
       if (!wal_dir.empty() && pool->store(i)->compact(pool->server(i)))
-        std::printf("instance %zu compacted at iteration %llu\n", i,
+        std::printf("durable state compacted in %s at iteration %llu\n",
+                    pool->store(i)->dir().c_str(),
                     static_cast<unsigned long long>(
                         pool->server(i).version()));
       std::fputs(core::portal_report(pool->server(i)).c_str(), stdout);
