@@ -201,6 +201,10 @@ struct ModelFactory {
   std::unique_ptr<models::Model> (*make)();
 };
 
+// Without this, GoogleTest prints the struct's raw bytes (two pointers), so
+// the listed test names change with every run's address layout.
+void PrintTo(const ModelFactory& f, std::ostream* os) { *os << f.name; }
+
 std::unique_ptr<models::Model> make_mc_logistic() {
   return std::make_unique<models::MulticlassLogisticRegression>(4, 6, 0.0);
 }
